@@ -14,7 +14,9 @@
      non-temporal store.  Recovery trusts only slots up to that index.
 
    Record removal (log clearing) tombstones a slot with a single atomic
-   word store; a bucket is unlinked from the ADLL when it empties.  Bucket
+   word store; a bucket is unlinked from the ADLL when it empties.  The
+   checkpoint's clearing ({!clear_settled}) also unlinks whole buckets of
+   settled records at once, without touching their slots.  Bucket
    occupancy and the insert cursor are volatile and reconstructed during
    the analysis phase after a crash, exactly as in the paper.
 
@@ -50,6 +52,14 @@ let b_idx = 0
 let slot_off b i = b + 8 + (8 * i)
 let bucket_bytes cap = 8 * (1 + cap)
 
+(* Volatile per-bucket bookkeeping, rebuilt by [attach]: the live-record
+   count, and the slots that were given a full (off-line) record, so that
+   dropping a whole bucket frees its records without scanning its slots.
+   A listed slot may since have been tombstoned; the drop re-checks it. *)
+type binfo = { mutable live : int; mutable fulls : int list }
+
+let fresh_info () = { live = 0; fulls = [] }
+
 type t = {
   variant : variant;
   bucket_cap : int;
@@ -62,10 +72,10 @@ type t = {
   mutable cur_node : int;    (* ADLL node holding cur_bucket *)
   mutable next_slot : int;   (* next free slot index in cur_bucket *)
   mutable pending : int;     (* slots appended since the last persist point *)
-  occupancy : (int, int ref) Hashtbl.t;  (* bucket -> live records (volatile) *)
-  mutable cur_occ : int ref;
-      (* the current bucket's occupancy cell, cached so the append/clear
-         hot path skips the [occupancy] hash lookup *)
+  occupancy : (int, binfo) Hashtbl.t;  (* bucket -> bookkeeping (volatile) *)
+  mutable cur_info : binfo;
+      (* the current bucket's cell, cached so the append/clear hot path
+         skips the [occupancy] hash lookup *)
   mutable inline_ok : bool;  (* inline-pair encoding enabled (default) *)
   mutable inline_appended : int;  (* appends that took the inline path *)
   mutable appended : int;  (* total records ever appended (stat) *)
@@ -98,9 +108,9 @@ let new_bucket t =
   (* Fresh allocation: durably zero, so 0-slots are trustworthy. *)
   let b = Alloc.alloc_fresh ~align:64 t.alloc (bucket_bytes t.bucket_cap) in
   let node = Adll.append t.chain b in
-  let occ = ref 0 in
-  Hashtbl.replace t.occupancy b occ;
-  t.cur_occ <- occ;
+  let info = fresh_info () in
+  Hashtbl.replace t.occupancy b info;
+  t.cur_info <- info;
   t.cur_bucket <- b;
   t.cur_node <- node;
   t.next_slot <- 0;
@@ -123,7 +133,7 @@ let create variant ?(bucket_cap = 1000) alloc ~root_slot =
       next_slot = 0;
       pending = 0;
       occupancy = Hashtbl.create 64;
-      cur_occ = ref 0;
+      cur_info = fresh_info ();
       inline_ok = true;
       inline_appended = 0;
       appended = 0;
@@ -170,7 +180,8 @@ let append_slot t r ~force_persist =
   let b = t.cur_bucket in
   let i = t.next_slot in
   t.next_slot <- i + 1;
-  incr t.cur_occ;
+  t.cur_info.live <- t.cur_info.live + 1;
+  t.cur_info.fulls <- i :: t.cur_info.fulls;
   (match t.variant with
   | Simple -> assert false
   | Optimized ->
@@ -198,7 +209,7 @@ let put_pair_slots t w0 w1 ~force_persist =
   let b = t.cur_bucket in
   let i = t.next_slot in
   t.next_slot <- i + 2;
-  incr t.cur_occ;
+  t.cur_info.live <- t.cur_info.live + 1;
   let off = slot_off b i in
   (match t.variant with
   | Simple -> assert false
@@ -465,10 +476,32 @@ let free_bucket t b node =
   Hashtbl.remove t.occupancy b;
   Alloc.free ~align:64 t.alloc b (bucket_bytes t.bucket_cap)
 
-(* Tombstone every record satisfying [pred]; free the record memory; unlink
-   buckets that become empty.  Each tombstone is one atomic word store, so a
-   crash at any point leaves a well-formed log with a subset of the removals
-   applied (Section 4.6). *)
+(* Tombstone the live record whose first slot word [v] sits at [off], and
+   free its memory.  Each tombstone is one atomic word store; a pair's
+   first word goes first, so a crash in between leaves a stray second
+   word, which [attach] tombstones. *)
+let tombstone_at t off v =
+  wr_nt t off tombstone;
+  if Record.is_inline_first_word v then wr_nt t (off + 8) tombstone
+  else Record.free t.alloc v
+
+(* Overwrite bucket [b]'s bookkeeping with the result of a scan that
+   classified every slot.  The cell object is kept (not replaced) so the
+   [cur_info] alias for the current bucket stays live. *)
+let resync t b ~live ~fulls =
+  match Hashtbl.find_opt t.occupancy b with
+  | Some c ->
+      c.live <- live;
+      c.fulls <- fulls
+  | None ->
+      let c = { live; fulls } in
+      Hashtbl.replace t.occupancy b c;
+      if b = t.cur_bucket then t.cur_info <- c
+
+(* Tombstone (and free) every record satisfying [pred]; unlink buckets
+   that become empty.  Each tombstone is a single atomic word store, so a
+   crash at any point leaves a well-formed log with a subset of the
+   removals applied (Section 4.6). *)
 let remove_where t pred =
   match t.variant with
   | Simple ->
@@ -492,42 +525,31 @@ let remove_where t pred =
           let b = Adll.element t.chain node in
           let bound = bucket_bound t b in
           (* The scan classifies every slot anyway, so re-derive the
-             bucket's occupancy absolutely instead of decrementing a
+             bucket's bookkeeping absolutely instead of adjusting the
              cached cell: the volatile cache is re-synced even if it had
-             drifted.  The cell object is kept (not replaced) so the
-             [cur_occ] alias for the current bucket stays live. *)
-          let survivors = ref 0 in
+             drifted. *)
+          let survivors = ref 0 and fulls = ref [] in
           let i = ref 0 in
           while !i < bound do
             charge_seq t;
             let off = slot_off b !i in
             let v = rd t off in
             if trusted_pair t ~off ~i:!i ~bound v then begin
-              (if pred (Record.inline_ref off) then begin
-                 (* first word first: a crash in between leaves a stray
-                    second word, which [attach] tombstones *)
-                 wr_nt t off tombstone;
-                 wr_nt t (off + 8) tombstone
-               end
-               else incr survivors);
+              if pred (Record.inline_ref off) then tombstone_at t off v
+              else incr survivors;
               i := !i + 2
             end
             else begin
               (if live_record t v then
-                 if pred v then begin
-                   wr_nt t off tombstone;
-                   Record.free t.alloc v
-                 end
-                 else incr survivors);
+                 if pred v then tombstone_at t off v
+                 else begin
+                   incr survivors;
+                   fulls := !i :: !fulls
+                 end);
               incr i
             end
           done;
-          (match Hashtbl.find_opt t.occupancy b with
-          | Some c -> c := !survivors
-          | None ->
-              let c = ref !survivors in
-              Hashtbl.replace t.occupancy b c;
-              if b = t.cur_bucket then t.cur_occ <- c);
+          resync t b ~live:!survivors ~fulls:!fulls;
           if !survivors = 0 && b <> t.cur_bucket then
             empty := (b, node) :: !empty);
       List.iter (fun (b, node) -> free_bucket t b node) !empty
@@ -543,25 +565,113 @@ let remove_handle t h =
   | Slot { node; bucket; slot } ->
       let off = slot_off bucket slot in
       let v = rd t off in
-      let removed =
-        if Record.is_inline_first_word v then begin
-          wr_nt t off tombstone;
-          wr_nt t (off + 8) tombstone;
-          true
-        end
-        else if live_record t v then begin
-          wr_nt t off tombstone;
-          Record.free t.alloc v;
-          true
-        end
-        else false
-      in
-      if removed then
+      if Record.is_inline_first_word v || live_record t v then begin
+        tombstone_at t off v;
         match Hashtbl.find_opt t.occupancy bucket with
-        | Some occ ->
-            decr occ;
-            if !occ = 0 && bucket <> t.cur_bucket then free_bucket t bucket node
+        | Some c ->
+            c.live <- c.live - 1;
+            if c.live = 0 && bucket <> t.cur_bucket then
+              free_bucket t bucket node
         | None -> ()
+      end
+
+let handle_node = function Node n -> n | Slot { node; _ } -> node
+
+(* Unlink the chain's head node and everything it holds: one ADLL removal,
+   then volatile frees only.  A bucket's full records are found through
+   its [fulls] list, so none of its slots is scanned. *)
+let drop_head t node =
+  let e = Adll.element t.chain node in
+  Adll.remove t.chain node;
+  match t.variant with
+  | Simple -> Record.free t.alloc e
+  | Optimized | Batch _ ->
+      (match Hashtbl.find_opt t.occupancy e with
+      | Some c ->
+          List.iter
+            (fun i ->
+              let v = rd t (slot_off e i) in
+              if live_record t v then Record.free t.alloc v)
+            c.fulls
+      | None -> ());
+      Hashtbl.remove t.occupancy e;
+      Alloc.free ~align:64 t.alloc e (bucket_bytes t.bucket_cap)
+
+(* The checkpoint's clearing (Section 4.6).  [stop node] holds for the
+   chain nodes that contain an open transaction's first record, so every
+   node before the first of them holds settled records only.
+
+   1. Those nodes are unlinked from the head, oldest first, each as a
+      whole ([drop_head]).
+   2. In the remaining tail, the records satisfying [settled] are
+      tombstoned in slot order, END records last, and tail buckets left
+      empty are unlinked.
+
+   A transaction's END is its last record in the log, so at every crash
+   point a settled transaction that still has any record still has its
+   END: step 1 only ever removes a prefix of the log, and step 2 removes
+   ENDs after everything else.  Recovery then recognises it as finished
+   rather than undoing it. *)
+let clear_settled t ~stop ~settled =
+  let is_end r = Record.typ t.arena r = Record.End in
+  let rec drop_prefix () =
+    let node = Adll.head t.chain in
+    if node <> 0 && node <> t.cur_node && not (stop node) then begin
+      drop_head t node;
+      drop_prefix ()
+    end
+  in
+  drop_prefix ();
+  match t.variant with
+  | Simple ->
+      let victims = ref [] in
+      Adll.iter t.chain (fun n ->
+          let r = Adll.element t.chain n in
+          if settled r then victims := (n, r, is_end r) :: !victims);
+      let remove (n, r, _) =
+        Adll.remove t.chain n;
+        Record.free t.alloc r
+      in
+      let oldest_first = List.rev !victims in
+      List.iter (fun ((_, _, e) as v) -> if not e then remove v) oldest_first;
+      List.iter (fun ((_, _, e) as v) -> if e then remove v) oldest_first
+  | Optimized | Batch _ ->
+      let ends = ref [] and scanned = ref [] in
+      Adll.iter t.chain (fun node ->
+          let b = Adll.element t.chain node in
+          let bound = bucket_bound t b in
+          let survivors = ref 0 and fulls = ref [] in
+          let i = ref 0 in
+          while !i < bound do
+            charge_seq t;
+            let off = slot_off b !i in
+            let v = rd t off in
+            let pair = trusted_pair t ~off ~i:!i ~bound v in
+            if pair || live_record t v then begin
+              let r =
+                if pair then Record.inline_ref off
+                else begin
+                  (* examining a full record touches its own cacheline *)
+                  charge_miss t;
+                  v
+                end
+              in
+              if not (settled r) then begin
+                incr survivors;
+                if not pair then fulls := !i :: !fulls
+              end
+              else if is_end r then ends := (off, v) :: !ends
+              else tombstone_at t off v
+            end;
+            i := !i + if pair then 2 else 1
+          done;
+          scanned := (b, node, !survivors, !fulls) :: !scanned);
+      List.iter (fun (off, v) -> tombstone_at t off v) (List.rev !ends);
+      List.iter
+        (fun (b, node, live, fulls) ->
+          resync t b ~live ~fulls;
+          if live = 0 && b <> t.cur_bucket then free_bucket t b node)
+        (List.rev !scanned)
 
 (* Clear the whole log in the paper's three steps: remember the old chain,
    install a new one, then de-allocate the old (Section 4.5). *)
@@ -648,12 +758,13 @@ let occupancy_stats t =
    occupancy below [threshold], build a new log, copy the live records
    over, and atomically swing the root to the new head bucket.  A crash
    during compaction leaves the old log intact (the root moves last), so
-   recovery sees a consistent — merely uncompacted — log. *)
+   recovery sees a consistent — merely uncompacted — log.  Returns whether
+   the log was rewritten (every handle into it is then stale). *)
 let compact ?(threshold = 0.5) t =
   let live, slots = occupancy_stats t in
   if slots > 0 && float_of_int live < threshold *. float_of_int slots then begin
     match t.variant with
-    | Simple -> ()  (* node-per-record: removal leaves no gaps *)
+    | Simple -> false  (* node-per-record: removal leaves no gaps *)
     | Optimized | Batch _ ->
         let old_chain = t.chain in
         let old_cap = t.bucket_cap in
@@ -701,15 +812,19 @@ let compact ?(threshold = 0.5) t =
             Alloc.free ~align:64 t.alloc
               (Adll.element old_chain node)
               (bucket_bytes old_cap));
-        Adll.free_structure old_chain
+        Adll.free_structure old_chain;
+        true
   end
+  else false
 
 (* -- volatile-cache invariant check (tests) ----------------------------- *)
 
 (* Recount every bucket's live records from the durable layout and compare
-   with the volatile occupancy cells and the cached [cur_occ] ref.  Returns
-   the mismatches; the regression tests assert it is empty after any
-   interleaving of appends, clears, checkpoints and compactions. *)
+   with the volatile occupancy cells and the cached [cur_info] cell; also
+   check that every live full record is on its bucket's [fulls] list (a
+   missing one shows as a (listed, actual) full-record count mismatch).
+   Returns the mismatches; the regression tests assert it is empty after
+   any interleaving of appends, clears, checkpoints and compactions. *)
 let check_occupancy t =
   match t.variant with
   | Simple -> []
@@ -718,7 +833,8 @@ let check_occupancy t =
       Adll.iter t.chain (fun node ->
           let b = Adll.element t.chain node in
           let bound = bucket_bound t b in
-          let actual = ref 0 in
+          let info = Hashtbl.find_opt t.occupancy b in
+          let actual = ref 0 and fulls = ref 0 and listed = ref 0 in
           let i = ref 0 in
           while !i < bound do
             let off = slot_off b !i in
@@ -728,20 +844,36 @@ let check_occupancy t =
               i := !i + 2
             end
             else begin
-              if live_record t v then incr actual;
+              if live_record t v then begin
+                incr actual;
+                incr fulls;
+                match info with
+                | Some c when List.mem !i c.fulls -> incr listed
+                | _ -> ()
+              end;
               incr i
             end
           done;
-          let cached =
-            match Hashtbl.find_opt t.occupancy b with
-            | Some c -> !c
-            | None -> min_int
-          in
+          let cached = match info with Some c -> c.live | None -> min_int in
           if cached <> !actual then
             bad := (b, cached, !actual) :: !bad;
-          if b = t.cur_bucket && cached <> !(t.cur_occ) then
-            bad := (b, !(t.cur_occ), !actual) :: !bad);
+          if !listed <> !fulls then bad := (b, !listed, !fulls) :: !bad;
+          if b = t.cur_bucket && cached <> t.cur_info.live then
+            bad := (b, t.cur_info.live, !actual) :: !bad);
       !bad
+
+(* Live records per bucket in chain order, from the volatile cells. *)
+let live_per_bucket t =
+  match t.variant with
+  | Simple -> []
+  | Optimized | Batch _ ->
+      List.rev
+        (Adll.fold_left t.chain
+           (fun acc node ->
+             match Hashtbl.find_opt t.occupancy (Adll.element t.chain node) with
+             | Some c -> c.live :: acc
+             | None -> min_int :: acc)
+           [])
 
 (* -- post-crash attachment --------------------------------------------- *)
 
@@ -784,7 +916,7 @@ let attach variant ?(bucket_cap = 1000) alloc ~root_slot =
         next_slot = 0;
         pending = 0;
         occupancy = Hashtbl.create 64;
-        cur_occ = ref 0;
+        cur_info = fresh_info ();
         inline_ok = true;
         inline_appended = 0;
         appended = 0;
@@ -811,7 +943,7 @@ let attach variant ?(bucket_cap = 1000) alloc ~root_slot =
               | Batch _ -> max 0 (min (rd t (b + b_idx)) bucket_cap)
               | Optimized | Simple -> bucket_cap
             in
-            let occ = ref 0 in
+            let info = fresh_info () in
             let last_used = ref (-1) in
             (* Truncate an inline word that cannot be trusted as half of a
                valid pair — the pair analogue of a bad-CRC record. *)
@@ -830,7 +962,7 @@ let attach variant ?(bucket_cap = 1000) alloc ~root_slot =
                   !i + 1 < bound
                   && Record.inline_pair_valid ~w0:v ~w1:(rd t (off + 8))
                 then begin
-                  incr occ;
+                  info.live <- info.live + 1;
                   last_used := !i + 1;
                   i := !i + 2
                 end
@@ -862,7 +994,10 @@ let attach variant ?(bucket_cap = 1000) alloc ~root_slot =
               end
               else begin
                 (if v > tombstone then begin
-                   if record_intact t v then incr occ
+                   if record_intact t v then begin
+                     info.live <- info.live + 1;
+                     info.fulls <- !i :: info.fulls
+                   end
                    else
                      (* torn write: truncate the record out of the log *)
                      wr_nt t off tombstone;
@@ -872,8 +1007,8 @@ let attach variant ?(bucket_cap = 1000) alloc ~root_slot =
                 incr i
               end
             done;
-            Hashtbl.replace t.occupancy b occ;
-            t.cur_occ <- occ;
+            Hashtbl.replace t.occupancy b info;
+            t.cur_info <- info;
             t.cur_bucket <- b;
             t.cur_node <- node;
             t.next_slot <-

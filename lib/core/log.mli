@@ -63,6 +63,11 @@ type handle = Node of int | Slot of { node : int; bucket : int; slot : int }
 val append_h : ?is_end:bool -> t -> int -> handle
 val remove_handle : t -> handle -> unit
 
+val handle_node : handle -> int
+(** The chain node holding the handle's record: its bucket's node for the
+    bucketed variants, the record's own node for [Simple].  This is the
+    unit {!clear_settled} drops whole. *)
+
 (** {2 Inline fast path}
 
     Bucketed variants encode a small record directly into a tagged pair
@@ -125,12 +130,10 @@ val iter : t -> (int -> unit) -> unit
 val iter_back : t -> (int -> unit) -> unit
 
 val iter_h : t -> (handle -> int -> unit) -> unit
-(** Like {!iter}, but also yields each live record's removal handle.
-    Callers that must clear records from several log partitions in a
-    single global order (the partitioned checkpoint) collect
-    [(sort key, handle)] pairs from every partition and then call
-    {!remove_handle} in the merged order.  The handles stay valid while
-    no other removal or compaction runs in between. *)
+(** Like {!iter}, but also yields each live record's handle — for
+    example to find the chain node ({!handle_node}) holding a
+    transaction's first record.  The handles stay valid until a
+    compaction or wholesale clear. *)
 
 val iter_back_while : t -> (int -> bool) -> unit
 (** Backward scan with early exit: stops when the callback returns
@@ -147,24 +150,43 @@ val remove_where : t -> (int -> bool) -> unit
     buckets that become empty.  Each tombstone is a single atomic word
     store, so a crash mid-clearing leaves a well-formed log. *)
 
+val clear_settled : t -> stop:(int -> bool) -> settled:(int -> bool) -> unit
+(** The checkpoint's clearing.  [stop node] must hold for every chain node
+    that contains an open transaction's first record; every node before
+    the first such node (and before the current bucket) then holds
+    settled records only, and is unlinked whole, oldest first — one ADLL
+    removal plus volatile frees per bucket, no slot scan.  In the
+    remaining tail, the records satisfying [settled] are tombstoned in
+    slot order, END records last, and tail buckets left empty are
+    unlinked.  At every crash point a transaction that keeps any record
+    keeps its END. *)
+
 val clear_all : t -> unit
 (** The paper's three-step wholesale clearing: build a fresh log, swing
     the root atomically, de-allocate the old one. *)
 
-val compact : ?threshold:float -> t -> unit
+val compact : ?threshold:float -> t -> bool
 (** Section 3.3's compaction: if live records make up less than
     [threshold] of the trusted slots (gaps left by clearing around
     long-running transactions), copy the live records into a fresh log
-    and atomically swing the root.  Crash-safe: the root moves last. *)
+    and atomically swing the root.  Crash-safe: the root moves last.
+    Returns whether the log was rewritten, which invalidates every
+    handle and chain node taken before. *)
 
 val occupancy_stats : t -> int * int
 (** (live records, trusted slots). *)
 
 val check_occupancy : t -> (int * int * int) list
 (** Cross-check the volatile per-bucket occupancy cells (and the cached
-    current-bucket ref) against a recount from the durable layout.
-    Returns [(bucket, cached, actual)] mismatches — empty when the cache
-    is coherent.  Test helper; O(log size). *)
+    current-bucket cell) against a recount from the durable layout, and
+    check that every live full record is listed for {!clear_settled}'s
+    slot-free bucket drop.  Returns [(bucket, cached, actual)] mismatches
+    — empty when the cache is coherent.  Test helper; O(log size). *)
+
+val live_per_bucket : t -> int list
+(** Live records of each bucket in chain order (the last is the current
+    bucket), from the volatile cells; [min_int] for a bucket without one.
+    Empty for [Simple].  Test helper. *)
 
 (** {1 Chaos (tests only)} *)
 

@@ -27,10 +27,19 @@
    own transaction table), redo replays the union of records in global
    LSN order (k-way merge by LSN across the partition streams), undo
    walks each loser's back-chain within its home partition, and clearing
-   runs per partition.  The checkpoint clears settled transactions in
-   global LSN order with END records last *across* the merged set, which
-   preserves the repeat-history invariant a crash mid-clearing depends
-   on. *)
+   runs per partition.
+
+   The one-layer checkpoint clears each partition on its own, by bucket:
+   every bucket older than the oldest open transaction's first record is
+   unlinked whole, and only the tail is cleared record by record, END
+   records last.  Clearing order across partitions does not matter
+   because each partition's CHECKPOINT record is appended after the
+   checkpoint's cache flush: while one survives, recovery knows that
+   every transaction whose END has a smaller LSN is durable in place and
+   does not replay it, so no stale record left behind by a crash
+   mid-clearing can overwrite a newer value (see [checkpoint_wal] and
+   [analysis_one_layer]).  Two-layer clearing still removes settled
+   records in global LSN order, END records last. *)
 
 open Rewind_nvm
 
@@ -108,6 +117,12 @@ type part = {
   table : Txn_table.t;
   latch : Sim_mutex.t;
   ended : (int, unit) Hashtbl.t;  (* committed/rolled back, awaiting clearing *)
+  open_at : (txn, int) Hashtbl.t;
+      (* one-layer: open transaction -> chain node holding its first
+         record ({!Log.handle_node}).  A transaction enters with its first
+         record and leaves with its END, so prepared (in-doubt)
+         transactions stay.  The checkpoint drops every node before the
+         oldest of these whole. *)
   mutable deferred_deletes : (txn * int * int * int) list;
       (* txn, DELETE record lsn, addr, size *)
   mutable deferred : (int * bool) list;
@@ -260,6 +275,7 @@ let make_part cfg pid log index =
     table = Txn_table.create ();
     latch = make_latch cfg;
     ended = Hashtbl.create 64;
+    open_at = Hashtbl.create 16;
     deferred_deletes = [];
     deferred = [];
   }
@@ -451,6 +467,11 @@ let user_write t p addr v =
       if durably then Arena.nt_write t.arena addr v
       else Arena.write t.arena addr v
 
+(* One-layer: note where an open transaction's first record went. *)
+let note_open p txn_id h =
+  if not (Hashtbl.mem p.open_at txn_id) then
+    Hashtbl.replace p.open_at txn_id (Log.handle_node h)
+
 (* Append a user record to [p].  In two-layer mode the AAVLT indexes
    records by their LSN (Section 3.4): every record becomes a tree node
    whose payload is the record's address, inserted in one atomic AAVLT
@@ -458,7 +479,7 @@ let user_write t p addr v =
    via the volatile transaction table. *)
 let append_user_record t p txn_id r ~is_end =
   match p.index with
-  | None -> Log.append ~is_end p.log r
+  | None -> note_open p txn_id (Log.append_h ~is_end p.log r)
   | Some idx ->
       let e = Txn_table.find_or_add p.table txn_id in
       (* Chain before the record becomes reachable. *)
@@ -506,7 +527,8 @@ let log_update t txn_id ~addr ~old_value ~new_value =
   in
   Sim_mutex.with_lock p.latch (fun () ->
       (match inline with
-      | Some (w0, w1) -> ignore (Log.append_pair p.log ~txn:txn_id w0 w1)
+      | Some (w0, w1) ->
+          note_open p txn_id (Log.append_pair p.log ~txn:txn_id w0 w1)
       | None -> append_user_record t p txn_id r ~is_end:false);
       (* WAL declaration: [addr] now has an undo record.  Under Batch the
          record may still sit in an unpersisted group ([Log.pending] > 0),
@@ -610,10 +632,12 @@ let clear_txn_index t p idx txn_id =
 let append_end t p txn_id =
   match p.index with
   | None ->
-      (* One-layer END records carry no payload and always fit inline. *)
+      (* One-layer END records carry no payload and always fit inline.
+         The END settles the transaction: it is no longer open. *)
       ignore
         (Log.append_record ~is_end:true p.log ~lsn:(fresh_lsn t) ~txn:txn_id
-           ~typ:Record.End ~addr:0 ~old_value:0L ~new_value:0L ~undo_next:0)
+           ~typ:Record.End ~addr:0 ~old_value:0L ~new_value:0L ~undo_next:0);
+      Hashtbl.remove p.open_at txn_id
   | Some _ ->
       let r =
         Record.make t.alloc ~lsn:(fresh_lsn t) ~txn:txn_id ~typ:Record.End
@@ -681,7 +705,7 @@ let undo_one t p txn_id rec_ ~durably =
   | None ->
       (* A CLR's old value is write-only (never read by redo or undo), so
          the compact format drops it; small restores go inline. *)
-      ignore
+      note_open p txn_id
         (Log.append_record ~is_end:durably p.log ~lsn:(fresh_lsn t)
            ~txn:txn_id ~typ:Record.Clr ~addr
            ~old_value:(Record.new_value t.arena rec_) ~new_value:restored
@@ -912,7 +936,7 @@ let prepare t txn_id ~gtid =
       Arena.fence t.arena;
       (match p.index with
       | None ->
-          ignore
+          note_open p txn_id
             (Log.append_record ~is_end:true p.log ~lsn:(fresh_lsn t)
                ~txn:txn_id ~typ:Record.Prepare ~addr:0
                ~old_value:(Int64.of_int gtid) ~new_value:0L ~undo_next:0)
@@ -985,6 +1009,44 @@ let alloc_cell t =
   | Some i -> Incll.alloc_cell i
   | None -> Alloc.alloc t.alloc 8
 
+(* Append one CHECKPOINT record to every partition.  Callers first make
+   every user update durable in place (flush + fence): a surviving
+   CHECKPOINT then certifies that every transaction whose END precedes
+   it is durable in place (see [analysis_one_layer]).  Returns each
+   record with its append handle. *)
+let append_checkpoints t =
+  Array.map
+    (fun p ->
+      let cp =
+        Record.make t.alloc ~lsn:(fresh_lsn t) ~txn:0 ~typ:Record.Checkpoint
+          ~addr:0 ~old_value:0L ~new_value:0L ~undo_next:0 ~prev_same_txn:0
+      in
+      let h = Log.append_h ~is_end:true p.log cp in
+      Pmcheck.expect_persisted t.arena ~addr:cp ~len:Record.size_bytes
+        ~what:"checkpoint record before log clearing";
+      (cp, h))
+    t.parts
+
+(* One-layer clearing behind the CHECKPOINT records [cps]: every record
+   except the CHECKPOINT and the records of the transactions in
+   [p.open_at] goes.  Partitions are cleared one by one, in any order:
+   with every CHECKPOINT in place, recovery skips every settled
+   transaction, so only the END-last order within each partition matters
+   ([Log.clear_settled]).  The CHECKPOINTs themselves go last. *)
+let clear_behind_checkpoints t cps =
+  Array.iteri
+    (fun i p ->
+      let cp, cp_h = cps.(i) in
+      let stop = Hashtbl.create 8 in
+      Hashtbl.replace stop (Log.handle_node cp_h) ();
+      Hashtbl.iter (fun _ node -> Hashtbl.replace stop node ()) p.open_at;
+      Log.clear_settled p.log ~stop:(Hashtbl.mem stop) ~settled:(fun r ->
+          r <> cp && not (Hashtbl.mem p.open_at (record_txn t r))))
+    t.parts
+
+let remove_checkpoints t cps =
+  Array.iteri (fun i p -> Log.remove_handle p.log (snd cps.(i))) t.parts
+
 let rec checkpoint t =
   match t.incll with
   | Some i ->
@@ -999,76 +1061,28 @@ let rec checkpoint t =
 and checkpoint_wal t =
   hot_span t "checkpoint" @@ fun () ->
   with_all_latches t 0 (fun () ->
-      hot_span t "cp-persist" (fun () ->
-          (* Persist every partition's batch cursor first: otherwise
-             flushed user data could refer to untrusted log slots after a
-             crash.  Each partition then gets its own CHECKPOINT record
-             marking the durable point, inserted before the cache
-             flush. *)
-          let cps =
-            Array.map
+      let cps =
+        hot_span t "cp-persist" (fun () ->
+            (* Persist every partition's batch cursor and release its
+               pinned stores first: otherwise flushed user data could
+               refer to untrusted log slots after a crash. *)
+            Array.iter
               (fun p ->
                 Log.flush_group p.log;
-                drain_deferred t p;
-                let cp =
-                  Record.make t.alloc ~lsn:(fresh_lsn t) ~txn:0
-                    ~typ:Record.Checkpoint ~addr:0 ~old_value:0L
-                    ~new_value:0L ~undo_next:0 ~prev_same_txn:0
-                in
-                Log.append ~is_end:true p.log cp;
-                cp)
-              t.parts
-          in
-          Arena.flush_all t.arena;
-          Arena.fence t.arena;
-          (* Section 4.6: the CHECKPOINT records and every user update are
-             now durable; clearing may begin. *)
-          Array.iter
-            (fun cp ->
-              Pmcheck.expect_persisted t.arena ~addr:cp ~len:Record.size_bytes
-                ~what:"checkpoint record before log clearing")
-            cps);
+                drain_deferred t p)
+              t.parts;
+            Arena.flush_all t.arena;
+            Arena.fence t.arena;
+            (* Section 4.6: every user update is now durable in place. *)
+            append_checkpoints t)
+      in
       hot_span t "cp-clear" (fun () ->
-          (* Clear settled transactions in *global* LSN order, END records
-             last, across every partition.  Clearing per partition (or
-             transaction by transaction, in whatever order the [ended]
-             tables yield) breaks repeat history: a crash mid-clearing can
-             leave transaction A's old update in one partition's log after
-             transaction B's newer committed update to the same word was
-             already removed from another's, and the redo pass then
-             resurrects the stale value.  Each removal is one atomic
-             tombstone, so a crash leaves exactly a *prefix* of the
-             global-LSN-ordered removal sequence applied. *)
           let settled p = Hashtbl.fold (fun id () acc -> id :: acc) p.ended [] in
           (match t.cfg.layers with
-          | One_layer ->
-              let victims = ref [] in
-              Array.iter
-                (fun p ->
-                    Log.iter_h p.log (fun h r ->
-                        let x = record_txn t r in
-                        if x <> 0 && Hashtbl.mem p.ended x then
-                          victims :=
-                            ( Record.lsn t.arena r,
-                              record_typ t r = Record.End,
-                              p,
-                              h )
-                            :: !victims))
-                t.parts;
-              let oldest_first =
-                List.sort
-                  (fun (l1, _, _, _) (l2, _, _, _) -> compare l1 l2)
-                  !victims
-              in
-              List.iter
-                (fun (_, is_end, p, h) ->
-                  if not is_end then Log.remove_handle p.log h)
-                oldest_first;
-              List.iter
-                (fun (_, is_end, p, h) ->
-                  if is_end then Log.remove_handle p.log h)
-                oldest_first
+          | One_layer -> clear_behind_checkpoints t cps
           | Two_layer ->
+              (* Settled transactions' tree nodes go in *global* LSN
+                 order, END records last, across every partition. *)
               let records = ref [] in
               Array.iter
                 (fun p ->
@@ -1115,16 +1129,24 @@ and checkpoint_wal t =
           Array.iter
             (fun p ->
               List.iter (fun id -> free_deferred_deletes t p id) (settled p);
-              Hashtbl.reset p.ended;
-              (* The checkpoint record has served its purpose. *)
-              Log.remove_where p.log (fun r ->
-                  record_typ t r = Record.Checkpoint))
-            t.parts);
+              Hashtbl.reset p.ended)
+            t.parts;
+          remove_checkpoints t cps);
       (* Compact any partition that clearing left mostly gaps
          (long-running transactions spanning otherwise-empty buckets,
-         Section 3.3). *)
+         Section 3.3).  Compaction moves every record, so the open
+         transactions' first nodes are looked up again. *)
       hot_span t "cp-compact" (fun () ->
-          Array.iter (fun p -> Log.compact ~threshold:0.25 p.log) t.parts))
+          Array.iter
+            (fun p ->
+              if Log.compact ~threshold:0.25 p.log then begin
+                let was_open = Hashtbl.copy p.open_at in
+                Hashtbl.reset p.open_at;
+                Log.iter_h p.log (fun h r ->
+                    let x = record_txn t r in
+                    if Hashtbl.mem was_open x then note_open p x h)
+              end)
+            t.parts))
 
 (* -- recovery (Section 4.5) -------------------------------------------------- *)
 
@@ -1200,10 +1222,22 @@ let merged_log_records t =
    transaction table with a forward scan of that partition to the point
    of failure (a transaction's records all live in its home partition).
    The LSN and transaction-id high-water marks are global maxima over
-   every partition.  Returns (records scanned, transactions found
-   finished). *)
+   every partition.
+
+   A surviving CHECKPOINT record means the crash hit a checkpoint after
+   its flush: the record is appended only once every user update is
+   durable in place.  Every transaction whose END has a smaller LSN —
+   in any partition, since each END's LSN is drawn under its partition
+   latch and the checkpoint holds them all — is then *certified*, and
+   redo skips its records.  That is what lets the checkpoint clear each
+   partition independently: whatever subset of certified records a
+   crash leaves behind, none is replayed over a newer value.  Records
+   appended after a CHECKPOINT (a recovery's CLRs and ENDs) have larger
+   LSNs and are replayed as usual.  Returns (records scanned,
+   transactions found finished, certified transactions). *)
 let analysis_one_layer t prof =
   let max_lsn = ref 0 and max_txn = ref 0 and scanned = ref 0 in
+  let cp_lsn = ref max_int in
   Array.iter
     (fun p ->
       part_span t prof "analysis" p @@ fun () ->
@@ -1227,34 +1261,49 @@ let analysis_one_layer t prof =
             | Record.Update | Record.Clr | Record.Delete | Record.Checkpoint
               ->
                 ()
-          end))
+          end
+          else if record_typ t r = Record.Checkpoint && lsn < !cp_lsn then
+            cp_lsn := lsn))
     t.parts;
   Sim_atomic.set t.next_lsn (!max_lsn + 1);
   reseed_txn_counters t !max_txn;
-  let finished = ref 0 in
+  let finished = ref 0 and certified = Hashtbl.create 16 in
   Array.iter
     (fun p ->
       Txn_table.iter p.table (fun e ->
-          if e.Txn_table.status = Txn_table.Finished then incr finished))
+          if e.Txn_table.status = Txn_table.Finished then begin
+            incr finished;
+            (* a finished transaction's last record is its END *)
+            if
+              !cp_lsn < max_int
+              && Record.lsn t.arena e.Txn_table.last_record < !cp_lsn
+            then Hashtbl.replace certified e.Txn_table.id ()
+          end))
     t.parts;
-  (!scanned, !finished)
+  (!scanned, !finished, certified)
 
 (* Redo phase (no-force only): repeat history forward in *global* LSN
    order — the k-way merge over the partition streams.  Replaying each
    partition independently would be wrong the moment two transactions in
    different partitions updated the same word: the replay order must be
-   the LSN order, which is cross-partition.  Physical redo is idempotent,
-   so a crash during recovery just restarts it.  Returns the number of
-   records re-applied. *)
-let redo_one_layer t =
+   the LSN order, which is cross-partition.  Records of [certified]
+   transactions are skipped: their effects are already durable in place.
+   Physical redo is idempotent, so a crash during recovery just restarts
+   it.  Returns the number of records re-applied. *)
+let redo_one_layer t ~certified =
   let applied = ref 0 in
+  let skip r =
+    Hashtbl.length certified > 0 && Hashtbl.mem certified (record_txn t r)
+  in
   List.iter
     (fun r ->
       match record_typ t r with
       | Record.Update | Record.Clr ->
-          incr applied;
-          Arena.write t.arena (Record.addr t.arena r)
-            (Record.new_value t.arena r)
+          if not (skip r) then begin
+            incr applied;
+            Arena.write t.arena (Record.addr t.arena r)
+              (Record.new_value t.arena r)
+          end
       | Record.End | Record.Checkpoint | Record.Delete | Record.Rollback
       | Record.Prepare ->
           ())
@@ -1583,65 +1632,71 @@ let clear_after_recovery t =
   let in_doubt_txn x = Hashtbl.mem t.prepared_gtids x in
   Array.iter
     (fun p ->
-      (match (t.cfg.layers, Hashtbl.length t.prepared_gtids) with
-      | _, 0 ->
+      Hashtbl.reset p.ended;
+      Hashtbl.reset p.open_at;
+      p.deferred_deletes <- [];
+      p.deferred <- [])
+    t.parts;
+  (* An in-doubt transaction's surviving DELETE records are its deferred
+     de-allocation intentions: a commit decision frees them, an abort
+     drops them. *)
+  let note_delete p x r =
+    if record_typ t r = Record.Delete then
+      p.deferred_deletes <-
+        ( x,
+          Record.lsn t.arena r,
+          Record.addr t.arena r,
+          Int64.to_int (Record.old_value t.arena r) )
+        :: p.deferred_deletes
+  in
+  match (t.cfg.layers, Hashtbl.length t.prepared_gtids) with
+  | _, 0 ->
+      Array.iter
+        (fun p ->
           Log.clear_all p.log;
-          Txn_table.clear p.table
-      | One_layer, _ ->
-          (* tombstone everything settled, END records last (mirroring
-             [clear_txn_records], so a crash mid-clearing re-attempts
-             identically); one-layer resolution re-scans the log, so the
-             volatile table can go *)
-          Log.remove_where p.log (fun r ->
-              (not (in_doubt_txn (record_txn t r)))
-              && record_typ t r <> Record.End);
-          Log.remove_where p.log (fun r ->
-              (not (in_doubt_txn (record_txn t r)))
-              && record_typ t r = Record.End);
-          Txn_table.clear p.table
-      | Two_layer, _ ->
-          (* the bottom-layer (AAVLT-internal) log holds only settled
-             internal records; in-doubt user records live in the index,
-             which recovery already cleared selectively.  Keep the
-             in-doubt table entries: their chains drive resolution. *)
+          Txn_table.clear p.table)
+        t.parts
+  | One_layer, _ ->
+      (* Clear exactly like a checkpoint whose open transactions are the
+         in-doubt ones, behind fresh CHECKPOINT records: a crash
+         mid-clearing then leaves every settled transaction certified,
+         in every partition.  One-layer resolution re-scans the log, so
+         the volatile tables can go. *)
+      Array.iter
+        (fun p ->
+          Log.iter_h p.log (fun h r ->
+              let x = record_txn t r in
+              if in_doubt_txn x then begin
+                note_open p x h;
+                note_delete p x r
+              end);
+          Txn_table.clear p.table)
+        t.parts;
+      let cps = append_checkpoints t in
+      clear_behind_checkpoints t cps;
+      remove_checkpoints t cps
+  | Two_layer, _ ->
+      (* the bottom-layer (AAVLT-internal) log holds only settled
+         internal records; in-doubt user records live in the index,
+         which recovery already cleared selectively.  Keep the in-doubt
+         table entries: their chains drive resolution. *)
+      Array.iter
+        (fun p ->
           Log.clear_all p.log;
           let dead = ref [] in
           Txn_table.iter p.table (fun e ->
               if e.Txn_table.status <> Txn_table.Prepared then
                 dead := e.Txn_table.id :: !dead);
-          List.iter (fun id -> Txn_table.remove p.table id) !dead);
-      Hashtbl.reset p.ended;
-      p.deferred_deletes <- [];
-      p.deferred <- [])
-    t.parts;
-  (* Rebuild the in-doubt transactions' deferred de-allocation intentions
-     from their surviving DELETE records: a commit decision frees them, an
-     abort drops them. *)
-  if Hashtbl.length t.prepared_gtids > 0 then
-    Array.iter
-      (fun p ->
-        let note r =
-          let x = record_txn t r in
-          if in_doubt_txn x && record_typ t r = Record.Delete then
-            p.deferred_deletes <-
-              ( x,
-                Record.lsn t.arena r,
-                Record.addr t.arena r,
-                Int64.to_int (Record.old_value t.arena r) )
-              :: p.deferred_deletes
-        in
-        match t.cfg.layers with
-        | One_layer -> Log.iter p.log note
-        | Two_layer ->
-            Txn_table.iter p.table (fun e ->
-                let rec go r =
-                  if r <> 0 then begin
-                    note r;
-                    go (Record.prev_same_txn t.arena r)
-                  end
-                in
-                go e.Txn_table.last_record))
-      t.parts
+          List.iter (fun id -> Txn_table.remove p.table id) !dead;
+          Txn_table.iter p.table (fun e ->
+              let rec go r =
+                if r <> 0 then begin
+                  note_delete p e.Txn_table.id r;
+                  go (Record.prev_same_txn t.arena r)
+                end
+              in
+              go e.Txn_table.last_record))
+        t.parts
 
 let torn_truncated_logs t =
   Array.fold_left (fun acc p -> acc + Log.torn_truncated p.log) 0 t.parts
@@ -1682,14 +1737,15 @@ let recover_with t prof =
   let report =
     match t.cfg.layers with
     | One_layer ->
-        let scanned, finished =
+        let scanned, finished, certified =
           Probe.span prof pstats "analysis" (fun () ->
               analysis_one_layer t prof)
         in
         prune_in_doubt t;
         let redo =
           if t.cfg.policy = No_force then
-            Probe.span prof pstats "redo" (fun () -> redo_one_layer t)
+            Probe.span prof pstats "redo" (fun () ->
+                redo_one_layer t ~certified)
           else 0
         in
         let undone =

@@ -29,8 +29,8 @@
     the partitions: analysis scans each partition, redo replays the union
     in global LSN order (a k-way merge by LSN over the partition
     streams), undo walks each loser's back-chain within its home
-    partition, and {!checkpoint} clears settled transactions in global
-    LSN order (ENDs last) {e across} the merged set. *)
+    partition, and {!checkpoint} clears each partition independently
+    (see there). *)
 
 type policy = Force | No_force
 type layers = One_layer | Two_layer
@@ -203,8 +203,9 @@ val rollback_to : t -> txn -> savepoint -> unit
 
 val checkpoint : t -> unit
 (** The "cache-consistent" checkpoint of Section 4.6: persist pending log
-    state, flush the cache, then clear settled transactions' records —
-    END records last — and process their deferred de-allocations.
+    state, flush the cache, append one CHECKPOINT record per partition,
+    then clear settled transactions' records — END records last — and
+    process their deferred de-allocations.
 
     Checkpointing with transactions in flight is fully supported — this
     is the point of Section 4.6's design, and what distinguishes REWIND
@@ -212,10 +213,15 @@ val checkpoint : t -> unit
     checkpoint must refuse active transactions because it has no undo
     information).  Live transactions' back-chains survive clearing
     untouched; only settled (committed or rolled-back) transactions are
-    removed, in {e global LSN order} with END records last, so a crash at
+    removed.  One-layer clearing drops whole buckets up to the oldest open
+    transaction's first record and tombstones the rest record by record,
+    END records last within each partition; two-layer clearing removes
+    settled tree nodes in global LSN order, END records last.  A crash at
     any point during the checkpoint — including mid-clearing and
     mid-compaction — recovers by repeat-history + undo to the same state
-    as an uninterrupted checkpoint. *)
+    as an uninterrupted checkpoint: while a CHECKPOINT record survives,
+    one-layer redo skips every transaction whose END precedes it, whose
+    effects the checkpoint's flush already made durable. *)
 
 val recover : t -> unit
 (** Run recovery explicitly (normally done by {!attach}). *)

@@ -267,7 +267,7 @@ let test_occupancy_lifecycle variant () =
   Log.remove_where log (fun r -> Record.txn arena r = 1);
   occupancy_clean "after second remove_where" log;
   (* ~7 survivors over buckets sized for 20: force the copy *)
-  Log.compact ~threshold:1.0 log;
+  ignore (Log.compact ~threshold:1.0 log);
   occupancy_clean "after compact" log;
   let survivors = lsns arena log in
   check_list "compaction preserved the survivors"
@@ -310,7 +310,8 @@ let prop_occupancy_coherent variant =
             let t = rand 3 in
             Log.remove_where log (fun r -> Record.txn arena r = t)
         | 8 -> Log.flush_group log
-        | _ -> Log.compact ~threshold:(float_of_int (rand 11) /. 10.) log
+        | _ ->
+            ignore (Log.compact ~threshold:(float_of_int (rand 11) /. 10.) log)
       done;
       Log.check_occupancy log = [])
 

@@ -16,14 +16,21 @@
       another is mid-bucket-append — the interleavings a global-latch log
       can never produce;
 
-   3. a checkpoint crash sweep at 2 and 4 partitions — the merged
-      clearing must remove settled records in *global* LSN order across
-      partitions, ENDs last, or redo resurrects stale values;
+   3. checkpoint crash sweeps at 2 and 4 partitions — settled
+      transactions in different partitions overwrite the same cells, so
+      a crash mid-clearing that left an older record of one partition
+      behind a newer removed one would let redo resurrect a stale value
+      unless recovery honours the surviving CHECKPOINT records.  The
+      second sweep opens the live transaction first, so its partition is
+      cleared record by record while the others drop whole buckets;
 
    4. properties: the merged record stream {!Tm.merged_log_records} is
       strictly ascending by LSN and is exactly the union of the
-      partitions' logs; and recovery at 4 partitions reaches the same
-      cell state as at 1 partition for the same transaction history. *)
+      partitions' logs; recovery at 4 partitions reaches the same cell
+      state as at 1 partition for the same transaction history; and a
+      checkpoint leaves exactly the open transactions' records, with
+      coherent bucket bookkeeping and no empty bucket behind the
+      current one. *)
 
 open Rewind_nvm
 open Rewind
@@ -241,9 +248,33 @@ let cp_workload tm cells =
   done;
   expected
 
-let test_checkpoint_sweep n_parts () =
+(* The live transaction opens first and writes before and after the
+   settled ones, so its first record sits in its partition's oldest
+   bucket: that partition keeps a tail that is cleared record by record,
+   while every other partition drops all but its current bucket whole.
+   Settled transactions round-robin over the partitions and overwrite
+   cells 0..7 across them. *)
+let cp_workload_live_first tm cells =
+  let expected = Array.make 16 0L in
+  let live = Tm.begin_txn tm in
+  Tm.write tm live ~addr:cells.(8) ~value:9990L;
+  for tno = 1 to 8 do
+    let txn = Tm.begin_txn tm in
+    for i = 0 to 2 do
+      let c = (tno + i) mod 8 in
+      let v = Int64.of_int ((tno * 100) + i) in
+      Tm.write tm txn ~addr:cells.(c) ~value:v;
+      expected.(c) <- v
+    done;
+    Tm.commit tm txn
+  done;
+  Tm.write tm live ~addr:cells.(9) ~value:9991L;
+  Tm.write tm live ~addr:cells.(10) ~value:9992L;
+  expected
+
+let test_checkpoint_sweep ?(workload = cp_workload) n_parts () =
   let arena, tm, cells, _ = cp_setup n_parts in
-  let _ = cp_workload tm cells in
+  let _ = workload tm cells in
   let before = shadow_events arena in
   Tm.checkpoint tm;
   let events = shadow_events arena - before in
@@ -251,7 +282,7 @@ let test_checkpoint_sweep n_parts () =
   let tried = ref 0 in
   for k = 1 to events do
     let arena, tm, cells, cfg = cp_setup n_parts in
-    let expected = cp_workload tm cells in
+    let expected = workload tm cells in
     Arena.arm_crash arena ~after:(k - 1);
     (match Tm.checkpoint tm with () -> () | exception Arena.Crash -> ());
     if Arena.crashed arena then begin
@@ -277,6 +308,95 @@ let test_checkpoint_sweep n_parts () =
     end
   done;
   check_bool (Fmt.str "p%d: sweep hit crash points" n_parts) true (!tried > 0)
+
+(* Coverage of the live-first sweep: before the checkpoint every
+   partition spans more than one bucket (so whole buckets can go), and
+   the live transaction's partition also holds settled records (so its
+   tail is cleared record by record); afterwards only the live
+   transaction's three records remain. *)
+let test_live_first_shape n_parts () =
+  let _, tm, cells, _ = cp_setup n_parts in
+  let _ = cp_workload_live_first tm cells in
+  let logs = Tm.logs tm in
+  Array.iteri
+    (fun p log ->
+      let _, slots = Log.occupancy_stats log in
+      check_bool (Fmt.str "p%d: partition %d spans buckets" n_parts p) true
+        (slots > 8))
+    logs;
+  check_bool (Fmt.str "p%d: live partition holds settled records" n_parts)
+    true
+    (Log.length logs.(0) > 3);
+  Tm.checkpoint tm;
+  check_int (Fmt.str "p%d: only the live records remain" n_parts) 3
+    (Array.fold_left (fun acc log -> acc + Log.length log) 0 logs)
+
+(* Recovery with a transaction in doubt clears the log selectively, and
+   a crash can land mid-way.  Transaction [a] (partition 1) and then [b]
+   (partition 0) commit overwrites of cell 0; [p] is prepared.  After a
+   crash, the first recovery is itself crashed at every persistence
+   event; the second must still find [b]'s value, not [a]'s older one —
+   partition 0 can be cleared while partition 1 still holds [a]'s
+   record — and [p] still in doubt with its write in place. *)
+let indoubt_cfg =
+  Rewind.with_partitions 2 { Rewind.config_1l_nfp with Tm.bucket_cap = 8 }
+
+let indoubt_setup () =
+  let arena = Arena.create ~size_bytes:(32 lsl 20) () in
+  let alloc = Alloc.create arena in
+  let tm = Tm.create ~cfg:indoubt_cfg alloc ~root_slot in
+  let cells = Array.init 4 (fun _ -> Alloc.alloc alloc 8) in
+  let a = Tm.begin_txn ~home:1 tm in
+  Tm.write tm a ~addr:cells.(0) ~value:100L;
+  Tm.write tm a ~addr:cells.(1) ~value:101L;
+  Tm.commit tm a;
+  let b = Tm.begin_txn ~home:0 tm in
+  Tm.write tm b ~addr:cells.(0) ~value:200L;
+  Tm.write tm b ~addr:cells.(2) ~value:201L;
+  Tm.commit tm b;
+  let p = Tm.begin_txn ~home:0 tm in
+  Tm.write tm p ~addr:cells.(3) ~value:300L;
+  Tm.prepare tm p ~gtid:7;
+  Arena.crash arena;
+  (arena, cells, p)
+
+let test_indoubt_recovery_sweep () =
+  let arena, _, _ = indoubt_setup () in
+  let alloc = Alloc.recover arena in
+  let before = shadow_events arena in
+  ignore (Tm.attach ~cfg:indoubt_cfg alloc ~root_slot);
+  let events = shadow_events arena - before in
+  let tried = ref 0 in
+  for k = 1 to events do
+    let arena, cells, p = indoubt_setup () in
+    let alloc = Alloc.recover arena in
+    Arena.arm_crash arena ~after:(k - 1);
+    (match Tm.attach ~cfg:indoubt_cfg alloc ~root_slot with
+    | _ -> ()
+    | exception Arena.Crash -> ());
+    if Arena.crashed arena then begin
+      incr tried;
+      Arena.crash arena;
+      let alloc2 = Alloc.recover arena in
+      let san = San.attach ~mode:San.Collect arena in
+      let tm2 = Tm.attach ~cfg:indoubt_cfg alloc2 ~root_slot in
+      check_int (Fmt.str "k=%d: sanitizer-clean" k) 0
+        (List.length (San.violations san));
+      San.detach san;
+      Alcotest.(check (list (pair int int)))
+        (Fmt.str "k=%d: still in doubt" k)
+        [ (p, 7) ] (Tm.in_doubt tm2);
+      List.iteri
+        (fun c want ->
+          let got = Arena.read arena cells.(c) in
+          if got <> want then
+            Alcotest.failf
+              "crash at recovery event %d/%d: cell %d = %Ld, want %Ld" k events
+              c got want)
+        [ 200L; 101L; 201L; 300L ]
+    end
+  done;
+  check_bool "recovery sweep hit crash points" true (!tried > 0)
 
 (* ------------------------------------------------------------------ *)
 (* 4. Properties                                                       *)
@@ -395,6 +515,98 @@ let prop_home_stability =
       let ok_1, state_1 = run 1 in
       ok_n && ok_1 && state_n = state_1)
 
+(* After a checkpoint each partition holds exactly the records of its
+   still-open transactions — one of them prepared (in doubt) — its bucket
+   bookkeeping is coherent, and no bucket but the current one is empty.
+   Each generated transaction is (writes, outcome): 0 commit, 1 roll
+   back, 2 stay open; the transaction at index [prepared] is prepared
+   instead.  The history runs twice with a checkpoint after each round,
+   and the open transactions write once more before each checkpoint, so
+   their records straddle settled ones and the second checkpoint relies
+   on the first one's notes (compaction moves records). *)
+let prop_checkpoint_leaves_open =
+  let variants =
+    [|
+      ("optimized", Rewind.config_1l_nfp);
+      ("batch8", Rewind.config_batch ());
+      ("simple", Rewind.config_simple);
+    |]
+  in
+  QCheck.Test.make ~name:"checkpoint leaves exactly the open transactions"
+    ~count:150
+    QCheck.(
+      quad (int_bound 2) (int_bound 2) (int_bound 11)
+        (list_of_size (Gen.int_range 1 12)
+           (pair (int_range 1 4) (int_bound 2))))
+    (fun (v, np, prepared, txns) ->
+      let name, cfg0 = variants.(v mod 3) in
+      let n_parts = [| 1; 2; 4 |].(np mod 3) in
+      let cfg =
+        Rewind.with_partitions n_parts { cfg0 with Tm.bucket_cap = 8 }
+      in
+      let arena = Arena.create ~size_bytes:(32 lsl 20) () in
+      let alloc = Alloc.create arena in
+      let tm = Tm.create ~cfg alloc ~root_slot in
+      let cells = Array.init 16 (fun _ -> Alloc.alloc alloc 8) in
+      (* the shrinker can propose an empty history *)
+      let prepared = prepared mod max 1 (List.length txns) in
+      let still_open = ref [] in
+      let key r =
+        (Record.lsn arena r, Record.txn arena r, Record.typ arena r)
+      in
+      let round n =
+        List.iteri
+          (fun tno (writes, outcome) ->
+            let txn = Tm.begin_txn tm in
+            for i = 0 to writes - 1 do
+              Tm.write tm txn
+                ~addr:cells.((tno + i) mod 16)
+                ~value:(Int64.of_int ((n * 1000) + (tno * 100) + i))
+            done;
+            if n = 0 && tno = prepared then begin
+              Tm.prepare tm txn ~gtid:(1000 + tno);
+              still_open := txn :: !still_open
+            end
+            else
+              match outcome with
+              | 0 -> Tm.commit tm txn
+              | 1 -> Tm.rollback tm txn
+              | _ -> still_open := txn :: !still_open)
+          txns;
+        List.iter
+          (fun txn ->
+            if not (List.mem_assoc txn (Tm.in_doubt tm)) then
+              Tm.write tm txn
+                ~addr:cells.(txn mod 16)
+                ~value:(Int64.of_int txn))
+          !still_open;
+        let open_records log =
+          Log.records log
+          |> List.filter (fun r -> List.mem (Record.txn arena r) !still_open)
+          |> List.map key |> List.sort compare
+        in
+        let want = Array.map open_records (Tm.logs tm) in
+        Tm.checkpoint tm;
+        Array.iteri
+          (fun p log ->
+            let got = List.sort compare (List.map key (Log.records log)) in
+            let buckets = Log.live_per_bucket log in
+            let behind_current =
+              List.filteri (fun i _ -> i < List.length buckets - 1) buckets
+            in
+            if
+              got <> want.(p)
+              || Log.check_occupancy log <> []
+              || List.exists (fun n -> n <= 0) behind_current
+            then
+              QCheck.Test.fail_reportf
+                "%s x%d: partition %d after checkpoint %d" name n_parts p n)
+          (Tm.logs tm)
+      in
+      round 0;
+      round 1;
+      true)
+
 (* Same history, 1 vs 4 partitions: identical recovered state. *)
 let test_equivalence () =
   let run n_parts =
@@ -457,11 +669,22 @@ let () =
         [
           Alcotest.test_case "2 partitions" `Slow (test_checkpoint_sweep 2);
           Alcotest.test_case "4 partitions" `Slow (test_checkpoint_sweep 4);
+          Alcotest.test_case "2 partitions, live transaction first" `Slow
+            (test_checkpoint_sweep ~workload:cp_workload_live_first 2);
+          Alcotest.test_case "4 partitions, live transaction first" `Slow
+            (test_checkpoint_sweep ~workload:cp_workload_live_first 4);
+          Alcotest.test_case "live-first sweep reaches both clearing paths"
+            `Quick (fun () ->
+              test_live_first_shape 2 ();
+              test_live_first_shape 4 ());
+          Alcotest.test_case "crash inside recovery with a txn in doubt"
+            `Quick test_indoubt_recovery_sweep;
         ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_merged_order;
           QCheck_alcotest.to_alcotest prop_home_stability;
+          QCheck_alcotest.to_alcotest prop_checkpoint_leaves_open;
           Alcotest.test_case "1 vs 4 partitions recover identically" `Quick
             test_equivalence;
         ] );
