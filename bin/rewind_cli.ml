@@ -712,7 +712,8 @@ module Rbench = Rewind_benchlib.Recovery_bench
    recovery timings with NVM attribution, plus a sanitizer pass over each
    recovery.  Emits a human table and, on request, BENCH_recovery.json and
    a Prometheus-style text file.  Exits nonzero if any recovery raised
-   persistency violations — CI runs this on every push. *)
+   persistency violations, or if any row's total recovery time differs
+   from the sum of its top-level phases — CI runs this on every push. *)
 let run_profile ops json_path prom_path =
   let sizes = [ ops / 4; ops ] in
   let intervals = [ 0; 50 ] in
@@ -737,11 +738,24 @@ let run_profile ops json_path prom_path =
   let violations =
     List.fold_left (fun acc r -> acc + r.Rbench.sanitizer_violations) 0 results
   in
-  if violations > 0 then begin
-    Fmt.epr "@.%d persistency violation(s) during recovery@." violations;
-    Stdlib.exit 1
-  end
-  else Fmt.pr "@.no persistency violations during recovery@."
+  let unconserved =
+    List.filter (fun r -> Rbench.unaccounted_sim_ns r <> 0) results
+  in
+  List.iter
+    (fun r ->
+      Fmt.epr "%s ops=%d ckpt=%d: recovery %d ns, but its phases sum to %d ns@."
+        r.Rbench.config r.Rbench.ops r.Rbench.checkpoint_every
+        r.Rbench.recovery_sim_ns
+        (r.Rbench.recovery_sim_ns - Rbench.unaccounted_sim_ns r))
+    unconserved;
+  if violations > 0 then
+    Fmt.epr "@.%d persistency violation(s) during recovery@." violations
+  else Fmt.pr "@.no persistency violations during recovery@.";
+  if unconserved <> [] then
+    Fmt.epr "%d row(s) whose phases do not add up to the recovery time@."
+      (List.length unconserved)
+  else Fmt.pr "every recovery's phases add up to its total@.";
+  if violations > 0 || unconserved <> [] then Stdlib.exit 1
 
 let profile_cmd =
   let ops =

@@ -125,6 +125,15 @@ let run_one ~ops ~checkpoint_every (name, cfg) =
     sanitizer_violations = List.length (San.violations san);
   }
 
+(* Simulated recovery time no top-level phase accounts for: the total
+   minus the sum of the phases without a "/pN" per-partition suffix
+   (those sub-spans are already inside their parent).  Zero when the
+   profile conserves time. *)
+let unaccounted_sim_ns r =
+  List.fold_left
+    (fun acc p -> if String.contains p.phase '/' then acc else acc - p.sim_ns)
+    r.recovery_sim_ns r.phases
+
 let default_sizes = [ 2_000; 8_000 ]
 let default_intervals = [ 0; 100 ]
 

@@ -221,22 +221,34 @@ let inline_pair r = r land lnot 1
 let iw0 a r = Int64.to_int (Arena.read a (inline_pair r))
 let iw1 a r = Int64.to_int (Arena.read a (inline_pair r + 8))
 
+(* Field decoders over slot words already read, shared by the per-field
+   accessors and {!decode}. *)
+let inline_lsn w0 =
+  if Inline.fmt w0 = 1 then 0 else (Inline.payload w0 lsr 14) land 0x3FFFFFF
+
+let inline_txn w0 =
+  if Inline.fmt w0 = 1 then 0 else Inline.payload w0 land 0x3FFF
+let inline_typ w0 = Inline.typ_of_typ2 (Inline.typ2 w0)
+
+let inline_new_value ~w0 ~w1 =
+  if Inline.fmt w0 = 1 then
+    Int64.of_int
+      ((((Inline.payload w0 lsr 20) land 0xFFFFF) lsl 16) lor Inline.b16 w1)
+  else Int64.of_int (Inline.b16 w1)
+
+let full_typ a r =
+  typ_of_int
+    (Int64.to_int (Int64.logand (Arena.read a (r + o_typ)) 0xFFFFFFFFL))
+
 let lsn a r =
-  if is_inline r then
-    let w0 = iw0 a r in
-    if Inline.fmt w0 = 1 then 0 else (Inline.payload w0 lsr 14) land 0x3FFFFFF
+  if is_inline r then inline_lsn (iw0 a r)
   else Int64.to_int (Arena.read a (r + o_lsn))
 
 let txn a r =
-  if is_inline r then
-    let w0 = iw0 a r in
-    if Inline.fmt w0 = 1 then 0 else Inline.payload w0 land 0x3FFF
+  if is_inline r then inline_txn (iw0 a r)
   else Int64.to_int (Arena.read a (r + o_txn))
 
-let typ a r =
-  if is_inline r then Inline.typ_of_typ2 (Inline.typ2 (iw0 a r))
-  else
-    typ_of_int (Int64.to_int (Int64.logand (Arena.read a (r + o_typ)) 0xFFFFFFFFL))
+let typ a r = if is_inline r then inline_typ (iw0 a r) else full_typ a r
 
 let addr a r =
   if is_inline r then Inline.addr_of (iw1 a r)
@@ -256,10 +268,7 @@ let old_value a r =
 let new_value a r =
   if is_inline r then
     let w0 = iw0 a r in
-    if Inline.fmt w0 = 1 then
-      Int64.of_int
-        ((((Inline.payload w0 lsr 20) land 0xFFFFF) lsl 16) lor Inline.b16 (iw1 a r))
-    else Int64.of_int (Inline.b16 (iw1 a r))
+    inline_new_value ~w0 ~w1:(iw1 a r)
   else Arena.read a (r + o_new)
 
 let undo_next a r =
@@ -271,6 +280,43 @@ let undo_next a r =
 let prev_same_txn a r =
   if is_inline r then 0
   else Int64.to_int (Arena.read a (r + o_prev_same_txn))
+
+(* Everything recovery's replay needs from a record, each word read once:
+   an inline pair's two slot words, or a full record's LSN, transaction
+   and type words plus — for the types redo re-applies — its address and
+   after-image.  Other types decode [addr = 0] and [new_value = 0L]; the
+   rare reader that needs more of them goes back to NVM through [ref]. *)
+type decoded = {
+  lsn : int;
+  ref : int;
+  txn : int;
+  typ : typ;
+  addr : int;
+  new_value : int64;
+}
+
+let decode a r =
+  if is_inline r then
+    let w0 = iw0 a r in
+    let w1 = iw1 a r in
+    {
+      lsn = inline_lsn w0;
+      ref = r;
+      txn = inline_txn w0;
+      typ = inline_typ w0;
+      addr = Inline.addr_of w1;
+      new_value = inline_new_value ~w0 ~w1;
+    }
+  else
+    let lsn = Int64.to_int (Arena.read a (r + o_lsn)) in
+    let txn = Int64.to_int (Arena.read a (r + o_txn)) in
+    let typ = full_typ a r in
+    match typ with
+    | Update | Clr ->
+        let addr = Int64.to_int (Arena.read a (r + o_addr)) in
+        { lsn; ref = r; txn; typ; addr; new_value = Arena.read a (r + o_new) }
+    | End | Checkpoint | Delete | Rollback | Prepare ->
+        { lsn; ref = r; txn; typ; addr = 0; new_value = 0L }
 
 (* Re-exported word predicates, used by the log's pair-aware scans. *)
 let is_inline_first_word = Inline.is_first_word

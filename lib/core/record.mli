@@ -44,6 +44,25 @@ val new_value : Rewind_nvm.Arena.t -> int -> int64
 val undo_next : Rewind_nvm.Arena.t -> int -> int
 val prev_same_txn : Rewind_nvm.Arena.t -> int -> int
 
+(** {1 Recovery decoding} *)
+
+type decoded = {
+  lsn : int;
+  ref : int;  (** the record's address or inline ref *)
+  txn : int;
+  typ : typ;
+  addr : int;  (** [Update]/[Clr] only; 0 otherwise *)
+  new_value : int64;  (** [Update]/[Clr] only; 0 otherwise *)
+}
+(** A record's replay-relevant fields, decoded into DRAM. *)
+
+val decode : Rewind_nvm.Arena.t -> int -> decoded
+(** Read every field redo and undo's scan need, each word once: the two
+    slot words of an inline pair; the LSN, transaction and type words of
+    a full record, plus its address and after-image when it is an
+    [Update] or [Clr].  Recovery's analysis scan decodes each record once
+    and replays the decoded stream instead of re-reading the log. *)
+
 val set_prev_same_txn : Rewind_nvm.Arena.t -> int -> int -> unit
 (** Durable update of the back-chain; only legal while the record is not
     yet reachable from the log or an index chain.  Rewrites the checksum,

@@ -23,11 +23,11 @@
    a *home partition* by its id (round-robin), so the append fast path
    touches only partition-local state; the LSN counter stays one process-
    wide instrumented atomic ({!Sim_atomic}), so a single global order over all records survives.
-   Recovery merges: analysis scans every partition (each rebuilding its
-   own transaction table), redo replays the union of records in global
-   LSN order (k-way merge by LSN across the partition streams), undo
-   walks each loser's back-chain within its home partition, and clearing
-   runs per partition.
+   Recovery merges: one-layer analysis scans every partition once (each
+   rebuilding its own transaction table), decoding each record into DRAM
+   and k-way merging the partitions by LSN; redo replays that merged
+   stream forward and undo walks it backward, reading NVM again only for
+   the losers' records.  Clearing runs per partition.
 
    The one-layer checkpoint clears each partition on its own, by bucket:
    every bucket older than the oldest open transaction's first record is
@@ -1158,71 +1158,105 @@ let part_span t prof name p f =
     Probe.span prof (Arena.stats t.arena) (Printf.sprintf "%s/p%d" name p.pid) f
   else f ()
 
-(* K-way merge of per-partition [(lsn, payload)] streams, each ascending
-   by LSN, into one globally ascending list.  The streams are small in
-   number (the partition count), so a linear scan of the heads per pop is
-   cheaper than a heap at this size. *)
-let merge_ascending streams =
-  let n = Array.length streams in
-  let out = ref [] in
-  let exhausted = ref false in
-  while not !exhausted do
-    let best = ref (-1) and best_lsn = ref max_int in
-    for i = 0 to n - 1 do
-      match streams.(i) with
-      | (l, _) :: _ when l < !best_lsn ->
-          best := i;
-          best_lsn := l
-      | _ -> ()
-    done;
-    if !best < 0 then exhausted := true
-    else
-      match streams.(!best) with
-      | entry :: rest ->
-          streams.(!best) <- rest;
-          out := entry :: !out
-      | [] -> assert false
-  done;
-  List.rev !out
+(* K-way merge of per-partition streams, each ascending by [lsn_of],
+   into one globally ascending array — the single merge routine behind
+   every recovery replay order.  The streams are few (the partition
+   count), so a linear scan of the heads per pop is cheaper than a heap at
+   this size; ties go to the lower partition. *)
+let merge_by_lsn lsn_of streams =
+  if Array.length streams = 1 then streams.(0)
+  else
+    let pos = Array.make (Array.length streams) 0 in
+    let pop _ =
+      let best = ref (-1) in
+      Array.iteri
+        (fun i s ->
+          if
+            pos.(i) < Array.length s
+            && (!best < 0
+               || lsn_of s.(pos.(i)) < lsn_of streams.(!best).(pos.(!best)))
+          then best := i)
+        streams;
+      let b = !best in
+      pos.(b) <- pos.(b) + 1;
+      streams.(b).(pos.(b) - 1)
+    in
+    (* [Array.init] applies [pop] in index order *)
+    Array.init (Array.fold_left (fun n s -> n + Array.length s) 0 streams) pop
 
-(* One partition's live records as an ascending-by-LSN stream.  Append
-   order within a partition is *almost* LSN order — LSNs are fetched from
-   the global counter outside the latch, so two concurrent appends into
-   the same partition can land inverted — hence the per-stream sort
-   (cheap on nearly-sorted input) before the k-way merge relies on it. *)
-let part_stream t p =
+(* One partition's single recovery scan: decode every live record once,
+   hand it (with its removal handle) to [visit] in append order, and
+   return the decoded entries ascending by LSN.  Append order within a
+   partition is *almost* LSN order — LSNs are fetched from the global
+   counter outside the latch, so two concurrent appends into the same
+   partition can land inverted — hence the sort before the k-way merge
+   relies on it. *)
+let decode_partition t p visit =
   let acc = ref [] in
-  Log.iter p.log (fun r -> acc := (Record.lsn t.arena r, r) :: !acc);
-  List.sort (fun (l1, _) (l2, _) -> compare l1 l2) !acc
+  Log.iter_h p.log (fun h r ->
+      let d = Record.decode t.arena r in
+      visit h d;
+      acc := d :: !acc);
+  let a = Array.of_list (List.rev !acc) in
+  Array.stable_sort (fun (x : Record.decoded) y -> compare x.lsn y.lsn) a;
+  a
+
+(* The one-layer replay stream: every partition scanned once
+   ([decode_partition], each scan wrapped by [span]) and merged into
+   global LSN order.  Redo replays it forward and undo backward; nothing
+   after analysis reads the log again. *)
+let one_layer_stream ?(span = fun _ f -> f ()) t visit =
+  merge_by_lsn
+    (fun (d : Record.decoded) -> d.lsn)
+    (Array.map
+       (fun p -> span p (fun () -> decode_partition t p (visit p)))
+       t.parts)
+
+(* A two-layer partition's records as its AAVLT orders them: ascending
+   by LSN. *)
+let index_stream t p ~keep =
+  match p.index with
+  | None -> [||]
+  | Some idx ->
+      let acc = ref [] in
+      Avl_index.iter idx (fun n ->
+          let r = Avl_index.head_record idx n in
+          if keep r then acc := (Record.lsn t.arena r, r) :: !acc);
+      Array.of_list (List.rev !acc)
 
 (* The union of every partition's records in global LSN order — the
-   stream the merged redo pass replays.  Exposed for the property test
-   that merged redo order equals global LSN order. *)
+   stream recovery replays, built by the same code.  Exposed for the
+   property test that merged redo order equals global LSN order. *)
 let merged_log_records t =
   match t.cfg.layers with
   | One_layer ->
-      List.map snd (merge_ascending (Array.map (part_stream t) t.parts))
+      Array.to_list
+        (Array.map
+           (fun (d : Record.decoded) -> d.ref)
+           (one_layer_stream t (fun _ _ _ -> ())))
   | Two_layer ->
-      let streams =
-        Array.map
-          (fun p ->
-            match p.index with
-            | None -> []
-            | Some idx ->
-                let acc = ref [] in
-                Avl_index.iter idx (fun n ->
-                    let r = Avl_index.head_record idx n in
-                    acc := (Record.lsn t.arena r, r) :: !acc);
-                List.rev !acc)
-          t.parts
-      in
-      List.map snd (merge_ascending streams)
+      Array.to_list
+        (Array.map snd
+           (merge_by_lsn fst
+              (Array.map (index_stream t ~keep:(fun _ -> true)) t.parts)))
 
-(* Analysis for one-layer logging: reconstruct each partition's
-   transaction table with a forward scan of that partition to the point
-   of failure (a transaction's records all live in its home partition).
-   The LSN and transaction-id high-water marks are global maxima over
-   every partition.
+(* What one-layer analysis hands the later phases: the decoded replay
+   stream, each transaction's first LSN (undo stops below the oldest
+   loser's), and each partition's DELETE entries in append order (the
+   in-doubt transactions' deferred de-allocations). *)
+type scan = {
+  stream : Record.decoded array;
+  first_lsn : (txn, int) Hashtbl.t;
+  deletes : Record.decoded list array;
+}
+
+(* Analysis for one-layer logging: the only pass over the log.  It
+   reconstructs each partition's transaction table with a forward scan of
+   that partition to the point of failure (a transaction's records all
+   live in its home partition), decoding every record once into the
+   replay stream.  The LSN and transaction-id high-water marks are global
+   maxima over every partition.  Each transaction's first record also
+   enters [p.open_at], so in-doubt clearing needs no rescan.
 
    A surviving CHECKPOINT record means the crash hit a checkpoint after
    its flush: the record is appended only once every user update is
@@ -1233,38 +1267,41 @@ let merged_log_records t =
    partition independently: whatever subset of certified records a
    crash leaves behind, none is replayed over a newer value.  Records
    appended after a CHECKPOINT (a recovery's CLRs and ENDs) have larger
-   LSNs and are replayed as usual.  Returns (records scanned,
-   transactions found finished, certified transactions). *)
+   LSNs and are replayed as usual.  Returns (the scan, transactions
+   found finished, certified transactions). *)
 let analysis_one_layer t prof =
-  let max_lsn = ref 0 and max_txn = ref 0 and scanned = ref 0 in
+  let max_lsn = ref 0 and max_txn = ref 0 in
   let cp_lsn = ref max_int in
-  Array.iter
-    (fun p ->
-      part_span t prof "analysis" p @@ fun () ->
-      Txn_table.clear p.table;
-      Log.iter p.log (fun r ->
-          incr scanned;
-          let lsn = Record.lsn t.arena r in
-          if lsn > !max_lsn then max_lsn := lsn;
-          let x = record_txn t r in
-          if x > !max_txn then max_txn := x;
-          if x <> 0 then begin
-            let e = Txn_table.find_or_add p.table x in
-            e.Txn_table.last_record <- r;
-            match record_typ t r with
-            | Record.End -> e.Txn_table.status <- Txn_table.Finished
-            | Record.Rollback -> e.Txn_table.status <- Txn_table.Aborted
-            | Record.Prepare ->
-                e.Txn_table.status <- Txn_table.Prepared;
-                Hashtbl.replace t.prepared_gtids x
-                  (Int64.to_int (Record.old_value t.arena r))
-            | Record.Update | Record.Clr | Record.Delete | Record.Checkpoint
-              ->
-                ()
-          end
-          else if record_typ t r = Record.Checkpoint && lsn < !cp_lsn then
-            cp_lsn := lsn))
-    t.parts;
+  let first_lsn = Hashtbl.create 64 and last_lsn = Hashtbl.create 64 in
+  let deletes = Array.make (Array.length t.parts) [] in
+  let visit p =
+    Txn_table.clear p.table;
+    Hashtbl.reset p.open_at;
+    fun h (d : Record.decoded) ->
+      if d.lsn > !max_lsn then max_lsn := d.lsn;
+      let x = d.txn in
+      if x > !max_txn then max_txn := x;
+      if x <> 0 then begin
+        let e = Txn_table.find_or_add p.table x in
+        e.Txn_table.last_record <- d.ref;
+        Hashtbl.replace last_lsn x d.lsn;
+        (match Hashtbl.find_opt first_lsn x with
+        | Some l when l <= d.lsn -> ()
+        | _ -> Hashtbl.replace first_lsn x d.lsn);
+        note_open p x h;
+        match d.typ with
+        | Record.End -> e.Txn_table.status <- Txn_table.Finished
+        | Record.Rollback -> e.Txn_table.status <- Txn_table.Aborted
+        | Record.Prepare ->
+            e.Txn_table.status <- Txn_table.Prepared;
+            Hashtbl.replace t.prepared_gtids x
+              (Int64.to_int (Record.old_value t.arena d.ref))
+        | Record.Delete -> deletes.(p.pid) <- d :: deletes.(p.pid)
+        | Record.Update | Record.Clr | Record.Checkpoint -> ()
+      end
+      else if d.typ = Record.Checkpoint && d.lsn < !cp_lsn then cp_lsn := d.lsn
+  in
+  let stream = one_layer_stream ~span:(part_span t prof "analysis") t visit in
   Sim_atomic.set t.next_lsn (!max_lsn + 1);
   reseed_txn_counters t !max_txn;
   let finished = ref 0 and certified = Hashtbl.create 16 in
@@ -1276,89 +1313,105 @@ let analysis_one_layer t prof =
             (* a finished transaction's last record is its END *)
             if
               !cp_lsn < max_int
-              && Record.lsn t.arena e.Txn_table.last_record < !cp_lsn
+              && Hashtbl.find last_lsn e.Txn_table.id < !cp_lsn
             then Hashtbl.replace certified e.Txn_table.id ()
           end))
     t.parts;
-  (!scanned, !finished, certified)
+  ( { stream; first_lsn; deletes = Array.map List.rev deletes },
+    !finished,
+    certified )
+
+(* Walking the decoded stream is a DRAM load per entry. *)
+let charge_stream_entry t =
+  Clock.advance (Arena.config t.arena).Config.dram_read_ns
 
 (* Redo phase (no-force only): repeat history forward in *global* LSN
-   order — the k-way merge over the partition streams.  Replaying each
-   partition independently would be wrong the moment two transactions in
-   different partitions updated the same word: the replay order must be
-   the LSN order, which is cross-partition.  Records of [certified]
-   transactions are skipped: their effects are already durable in place.
-   Physical redo is idempotent, so a crash during recovery just restarts
-   it.  Returns the number of records re-applied. *)
-let redo_one_layer t ~certified =
+   order — the merged stream analysis decoded.  Replaying each partition
+   independently would be wrong the moment two transactions in different
+   partitions updated the same word: the replay order must be the LSN
+   order, which is cross-partition.  Records of [certified] transactions
+   are skipped: their effects are already durable in place.  Physical
+   redo is idempotent, so a crash during recovery just restarts it.
+   Returns the number of records re-applied. *)
+let redo_one_layer t scan ~certified =
   let applied = ref 0 in
-  let skip r =
-    Hashtbl.length certified > 0 && Hashtbl.mem certified (record_txn t r)
-  in
-  List.iter
-    (fun r ->
-      match record_typ t r with
+  Array.iter
+    (fun (d : Record.decoded) ->
+      charge_stream_entry t;
+      match d.typ with
       | Record.Update | Record.Clr ->
-          if not (skip r) then begin
+          if not (Hashtbl.length certified > 0 && Hashtbl.mem certified d.txn)
+          then begin
             incr applied;
-            Arena.write t.arena (Record.addr t.arena r)
-              (Record.new_value t.arena r)
+            Arena.write t.arena d.addr d.new_value
           end
       | Record.End | Record.Checkpoint | Record.Delete | Record.Rollback
       | Record.Prepare ->
           ())
-    (merged_log_records t);
+    scan.stream;
   !applied
 
-(* Undo phase: Algorithm 2 — a single backward scan in descending global
-   LSN order (the reversed merge) undoing every unfinished transaction,
+(* Undo phase: Algorithm 2 — a single backward walk of the decoded stream
+   in descending global LSN order undoing every unfinished transaction,
    tracking per-transaction CLR bounds so that already-undone updates are
-   skipped.  Each CLR lands in its transaction's home partition.  Returns
-   the number of losers. *)
-let undo_one_layer t =
+   skipped.  The walk ends below the oldest loser's first record, and
+   with no loser there is nothing to walk.  Only the losers' records are
+   read again from NVM (CLR bounds and the undo itself).  Each CLR lands
+   in its transaction's home partition.  Returns the number of losers. *)
+let undo_one_layer t scan =
   let durably = t.cfg.policy = Force in
+  let oldest = ref max_int in
+  Array.iter
+    (fun p ->
+      Txn_table.iter p.table (fun e ->
+          match e.Txn_table.status with
+          | Txn_table.Running | Txn_table.Aborted ->
+              oldest := min !oldest (Hashtbl.find scan.first_lsn e.Txn_table.id)
+          | Txn_table.Prepared | Txn_table.Finished -> ()))
+    t.parts;
   let undo_map : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let to_mark_rollback = Hashtbl.create 16 in
-  let descending = List.rev (merged_log_records t) in
-  List.iter
-    (fun r ->
-      let x = record_txn t r in
-      if x <> 0 then
-        let p = home t x in
-        match Txn_table.find p.table x with
-        | None -> ()
-        | Some e -> (
-            match e.Txn_table.status with
-            | Txn_table.Finished -> ()
-            | Txn_table.Prepared ->
-                (* in doubt: the transaction voted yes and may only be
-                   settled by [resolve_in_doubt] once the coordinator's
-                   decision is known — leave its records untouched *)
-                ()
-            | Txn_table.Running | Txn_table.Aborted -> (
-                if e.Txn_table.status = Txn_table.Running then begin
-                  e.Txn_table.status <- Txn_table.Aborted;
-                  Hashtbl.replace to_mark_rollback x ()
-                end;
-                match record_typ t r with
-                | Record.Clr ->
-                    Hashtbl.replace undo_map x (Record.undo_next t.arena r);
-                    if t.cfg.policy = Force then
-                      (* redo the CLR: covers a crash between the CLR and
-                         its user store *)
-                      Arena.nt_write t.arena (Record.addr t.arena r)
-                        (Record.new_value t.arena r)
-                | Record.Update ->
-                    let skip =
-                      match Hashtbl.find_opt undo_map x with
-                      | Some bound -> Record.lsn t.arena r >= bound
-                      | None -> false
-                    in
-                    if not skip then undo_one t p x r ~durably
-                | Record.End | Record.Checkpoint | Record.Delete
-                | Record.Rollback | Record.Prepare ->
-                    ())))
-    descending;
+  let i = ref (Array.length scan.stream - 1) in
+  while !i >= 0 && scan.stream.(!i).Record.lsn >= !oldest do
+    let d = scan.stream.(!i) in
+    decr i;
+    charge_stream_entry t;
+    let x = d.txn in
+    if x <> 0 then
+      let p = home t x in
+      match Txn_table.find p.table x with
+      | None -> ()
+      | Some e -> (
+          match e.Txn_table.status with
+          | Txn_table.Finished -> ()
+          | Txn_table.Prepared ->
+              (* in doubt: the transaction voted yes and may only be
+                 settled by [resolve_in_doubt] once the coordinator's
+                 decision is known — leave its records untouched *)
+              ()
+          | Txn_table.Running | Txn_table.Aborted -> (
+              if e.Txn_table.status = Txn_table.Running then begin
+                e.Txn_table.status <- Txn_table.Aborted;
+                Hashtbl.replace to_mark_rollback x ()
+              end;
+              match d.typ with
+              | Record.Clr ->
+                  Hashtbl.replace undo_map x (Record.undo_next t.arena d.ref);
+                  if t.cfg.policy = Force then
+                    (* redo the CLR: covers a crash between the CLR and
+                       its user store *)
+                    Arena.nt_write t.arena d.addr d.new_value
+              | Record.Update ->
+                  let skip =
+                    match Hashtbl.find_opt undo_map x with
+                    | Some bound -> d.lsn >= bound
+                    | None -> false
+                  in
+                  if not skip then undo_one t p x d.ref ~durably
+              | Record.End | Record.Checkpoint | Record.Delete
+              | Record.Rollback | Record.Prepare ->
+                  ()))
+  done;
   (* END records for every transaction we just settled, appended to each
      loser's home partition; in-doubt transactions are not losers *)
   let losers = ref 0 in
@@ -1431,25 +1484,16 @@ let recover_two_layer t prof =
   (* analysis: per-partition in-order traversals, merged by LSN *)
   let ascending, finished =
     Probe.span prof pstats "analysis" @@ fun () ->
+    let intact r = record_intact t r || (count_torn (); false) in
     let streams =
       Array.map
-        (fun p ->
-          part_span t prof "analysis" p @@ fun () ->
-          match p.index with
-          | None -> []
-          | Some idx ->
-              let descending = ref [] in
-              Avl_index.iter idx (fun n ->
-                  let r = Avl_index.head_record idx n in
-                  if record_intact t r then
-                    descending := (Record.lsn t.arena r, r) :: !descending
-                  else count_torn ());
-              List.rev !descending)
+        (fun p -> part_span t prof "analysis" p @@ fun () ->
+                  index_stream t p ~keep:intact)
         t.parts
     in
-    let ascending = List.map snd (merge_ascending streams) in
+    let ascending = Array.map snd (merge_by_lsn fst streams) in
     let max_lsn = ref 0 and max_txn = ref 0 in
-    List.iter
+    Array.iter
       (fun r ->
         let l = Record.lsn t.arena r in
         if l > !max_lsn then max_lsn := l;
@@ -1484,7 +1528,7 @@ let recover_two_layer t prof =
   let redo = ref 0 in
   if t.cfg.policy = No_force then
     Probe.span prof pstats "redo" (fun () ->
-        List.iter
+        Array.iter
           (fun r ->
             match record_typ t r with
             | Record.Update | Record.Clr ->
@@ -1606,14 +1650,16 @@ let recover_two_layer t prof =
               end)
         t.parts);
   {
-    records_scanned = List.length ascending;
+    records_scanned = Array.length ascending;
     torn_truncated = !torn;
     redo_applied = !redo;
     txns_finished = finished;
     txns_undone = n_losers;
   }
 
-let clear_after_recovery t =
+(* [deletes] holds each one-layer partition's DELETE entries from the
+   analysis scan, in append order. *)
+let clear_after_recovery t ~deletes =
   (* Every transaction is settled except the in-doubt set; make the
      recovered state durable, then clear the logs.  With nothing in doubt
      this is the paper's wholesale three-step swap (Section 4.5);
@@ -1633,7 +1679,11 @@ let clear_after_recovery t =
   Array.iter
     (fun p ->
       Hashtbl.reset p.ended;
-      Hashtbl.reset p.open_at;
+      (* one-layer analysis left every transaction's first node here;
+         only the in-doubt ones stay open *)
+      Hashtbl.filter_map_inplace
+        (fun x node -> if in_doubt_txn x then Some node else None)
+        p.open_at;
       p.deferred_deletes <- [];
       p.deferred <- [])
     t.parts;
@@ -1641,13 +1691,12 @@ let clear_after_recovery t =
      de-allocation intentions: a commit decision frees them, an abort
      drops them. *)
   let note_delete p x r =
-    if record_typ t r = Record.Delete then
-      p.deferred_deletes <-
-        ( x,
-          Record.lsn t.arena r,
-          Record.addr t.arena r,
-          Int64.to_int (Record.old_value t.arena r) )
-        :: p.deferred_deletes
+    p.deferred_deletes <-
+      ( x,
+        Record.lsn t.arena r,
+        Record.addr t.arena r,
+        Int64.to_int (Record.old_value t.arena r) )
+      :: p.deferred_deletes
   in
   match (t.cfg.layers, Hashtbl.length t.prepared_gtids) with
   | _, 0 ->
@@ -1664,12 +1713,10 @@ let clear_after_recovery t =
          the volatile tables can go. *)
       Array.iter
         (fun p ->
-          Log.iter_h p.log (fun h r ->
-              let x = record_txn t r in
-              if in_doubt_txn x then begin
-                note_open p x h;
-                note_delete p x r
-              end);
+          List.iter
+            (fun (d : Record.decoded) ->
+              if in_doubt_txn d.txn then note_delete p d.txn d.ref)
+            deletes.(p.pid);
           Txn_table.clear p.table)
         t.parts;
       let cps = append_checkpoints t in
@@ -1691,7 +1738,8 @@ let clear_after_recovery t =
           Txn_table.iter p.table (fun e ->
               let rec go r =
                 if r <> 0 then begin
-                  note_delete p e.Txn_table.id r;
+                  if record_typ t r = Record.Delete then
+                    note_delete p e.Txn_table.id r;
                   go (Record.prev_same_txn t.arena r)
                 end
               in
@@ -1734,10 +1782,10 @@ let recover_with t prof =
       t.last_recovery_profile <- Some prof
   | None ->
   Hashtbl.reset t.prepared_gtids;
-  let report =
+  let report, deletes =
     match t.cfg.layers with
     | One_layer ->
-        let scanned, finished, certified =
+        let scan, finished, certified =
           Probe.span prof pstats "analysis" (fun () ->
               analysis_one_layer t prof)
         in
@@ -1745,25 +1793,28 @@ let recover_with t prof =
         let redo =
           if t.cfg.policy = No_force then
             Probe.span prof pstats "redo" (fun () ->
-                redo_one_layer t ~certified)
+                redo_one_layer t scan ~certified)
           else 0
         in
         let undone =
-          Probe.span prof pstats "undo" (fun () -> undo_one_layer t)
+          Probe.span prof pstats "undo" (fun () -> undo_one_layer t scan)
         in
-        {
-          records_scanned = scanned;
-          torn_truncated = torn_truncated_logs t;
-          redo_applied = redo;
-          txns_finished = finished;
-          txns_undone = undone;
-        }
+        ( {
+            records_scanned = Array.length scan.stream;
+            torn_truncated = torn_truncated_logs t;
+            redo_applied = redo;
+            txns_finished = finished;
+            txns_undone = undone;
+          },
+          scan.deletes )
     | Two_layer ->
         let r = recover_two_layer t prof in
         (* the AAVLTs' internal logs may have truncated torn records too *)
-        { r with torn_truncated = r.torn_truncated + torn_truncated_logs t }
+        ( { r with torn_truncated = r.torn_truncated + torn_truncated_logs t },
+          [||] )
   in
-  Probe.span prof pstats "clearing" (fun () -> clear_after_recovery t);
+  Probe.span prof pstats "clearing" (fun () ->
+      clear_after_recovery t ~deletes);
   Pmcheck.recovery_end t.arena;
   t.last_recovery <- Some report;
   t.last_recovery_profile <- Some prof
@@ -1777,12 +1828,16 @@ let recover t = recover_with t (Probe.create ())
 let attach ?(cfg = default_config) alloc ~root_slot =
   check_cfg cfg ~root_slot;
   let arena = Alloc.arena alloc in
-  validate_stored_config arena cfg ~root_slot;
   let prof = Probe.create () in
   let pstats = Arena.stats arena in
+  (* The fingerprint check reads a root slot, so it is charged to the
+     first phase: every simulated nanosecond of [attach] lands in some
+     top-level phase. *)
+  let validate () = validate_stored_config arena cfg ~root_slot in
   if cfg.incll then begin
     let i =
       Probe.span prof pstats "dir-attach" (fun () ->
+          validate ();
           Incll.attach arena alloc
             ~epoch_slot:(incll_epoch_slot ~root_slot)
             ~dir_slot:(incll_dir_slot ~root_slot))
@@ -1796,6 +1851,7 @@ let attach ?(cfg = default_config) alloc ~root_slot =
     Array.init cfg.partitions (fun pid ->
         let log =
           Probe.span prof pstats "log-attach" (fun () ->
+              if pid = 0 then validate ();
               (if cfg.partitions > 1 then
                  Probe.span prof pstats (Printf.sprintf "log-attach/p%d" pid)
                else fun f -> f ())

@@ -109,8 +109,9 @@ val partition_appended : t -> int array
 
 val merged_log_records : t -> int list
 (** The union of every partition's live records merged into global LSN
-    order — the stream the redo pass replays.  Introspection for tests
-    (the merged-redo-order property). *)
+    order — the stream recovery replays, built by the same code (for
+    one-layer logging, the analysis scan's decode-sort-merge).
+    Introspection for tests (the merged-redo-order property). *)
 
 (** {1 Transactions} *)
 

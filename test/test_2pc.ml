@@ -149,6 +149,40 @@ let test_after_decision_crash () =
       (Int64.to_int (Twopc.read_cell t i w.Bench.cells.(i).(2)))
   done
 
+(* An in-doubt transaction's DELETE survives recovery as a deferred
+   de-allocation: a commit decision frees the region (at commit under
+   force, at the next checkpoint under no-force), an abort decision never
+   does.  A freed region is visible as reuse: its offset comes back from
+   the size's free list. *)
+let delete_size = 48
+
+let region_reusable alloc region =
+  let o = Alloc.alloc alloc delete_size in
+  Alloc.free alloc o delete_size;
+  o = region
+
+let test_in_doubt_delete (name, cfg) ~commit () =
+  let arena = Arena.create ~size_bytes:(8 lsl 20) () in
+  let alloc = Alloc.create arena in
+  let tm = Tm.create ~cfg alloc ~root_slot in
+  let cell = Alloc.alloc alloc 8 in
+  let region = Alloc.alloc alloc delete_size in
+  let t = Tm.begin_txn tm in
+  Tm.write tm t ~addr:cell ~value:5L;
+  Tm.log_delete tm t ~addr:region ~size:delete_size;
+  Tm.prepare tm t ~gtid:7;
+  Arena.crash arena;
+  let alloc2 = Alloc.recover arena in
+  let tm2 = Tm.attach ~cfg alloc2 ~root_slot in
+  check_bool (name ^ ": not freed while in doubt") false
+    (region_reusable alloc2 region);
+  Tm.resolve_in_doubt tm2 t ~commit;
+  if cfg.Tm.policy = Tm.No_force then Tm.checkpoint tm2;
+  check_bool
+    (Fmt.str "%s: freed iff committed (commit=%b)" name commit)
+    commit
+    (region_reusable alloc2 region)
+
 (* ------------------------------------------------------------------ *)
 (* 5. Crash everywhere                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -161,25 +195,46 @@ let test_crash_everywhere () =
   check_int "after-decision states" 4 r.Bench.after_decision_states
 
 let () =
+  let configs =
+    [
+      ("1l-nfp", Rewind.config_1l_nfp);
+      ("1l-fp", Rewind.config_1l_fp);
+      ("2l-nfp", Rewind.config_2l_nfp);
+      ("2l-fp", Rewind.config_2l_fp);
+      ("simple", Rewind.config_simple);
+      ("batch4", Rewind.config_batch ~group:4 ());
+    ]
+  in
   let prepare_cases =
     List.map
       (fun (cn, cfg) ->
         Alcotest.test_case (Fmt.str "prepare survives recovery [%s]" cn) `Quick
           (test_prepare_survives_recovery (cn, cfg)))
-      [
-        ("1l-nfp", Rewind.config_1l_nfp);
-        ("1l-fp", Rewind.config_1l_fp);
-        ("2l-nfp", Rewind.config_2l_nfp);
-        ("2l-fp", Rewind.config_2l_fp);
-        ("simple", Rewind.config_simple);
-        ("batch4", Rewind.config_batch ~group:4 ());
-      ]
+      configs
+  in
+  let delete_cases =
+    List.concat_map
+      (fun (cn, cfg) ->
+        List.map
+          (fun commit ->
+            Alcotest.test_case
+              (Fmt.str "in-doubt delete, %s [%s]"
+                 (if commit then "commit" else "abort")
+                 cn)
+              `Quick
+              (test_in_doubt_delete (cn, cfg) ~commit))
+          [ true; false ])
+      configs
   in
   Alcotest.run "2pc"
     [
       ( "participant",
         prepare_cases
-        @ [ Alcotest.test_case "resolve unknown txn" `Quick test_resolve_unknown_txn ] );
+        @ [
+            Alcotest.test_case "resolve unknown txn" `Quick
+              test_resolve_unknown_txn;
+          ]
+        @ delete_cases );
       ( "cluster",
         [
           Alcotest.test_case "happy path" `Quick test_happy_path;

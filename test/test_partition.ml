@@ -24,9 +24,10 @@
       second sweep opens the live transaction first, so its partition is
       cleared record by record while the others drop whole buckets;
 
-   4. properties: the merged record stream {!Tm.merged_log_records} is
-      strictly ascending by LSN and is exactly the union of the
-      partitions' logs; recovery at 4 partitions reaches the same cell
+   4. properties: the merged record stream {!Tm.merged_log_records} —
+      built by the same decode-sort-merge that recovery's redo and undo
+      replay — is strictly ascending by LSN and is exactly the union of
+      the partitions' logs; recovery at 4 partitions reaches the same cell
       state as at 1 partition for the same transaction history; and a
       checkpoint leaves exactly the open transactions' records, with
       coherent bucket bookkeeping and no empty bucket behind the
@@ -403,9 +404,9 @@ let test_indoubt_recovery_sweep () =
 (* ------------------------------------------------------------------ *)
 
 (* Merged redo order equals global LSN order: after a random transaction
-   history over 1..4 partitions, the merged stream's LSNs are strictly
-   ascending, and the stream is exactly the union of the per-partition
-   logs. *)
+   history over 1..4 partitions, the stream one-layer recovery replays
+   has strictly ascending LSNs and is exactly the union of the
+   per-partition logs. *)
 let prop_merged_order =
   QCheck.Test.make ~name:"merged stream is the union in global LSN order"
     ~count:100

@@ -179,6 +179,117 @@ let test_recovery_scope (name, cfg) () =
   check_int (name ^ ": second undo, same fences") fe1 fe2
 
 (* ------------------------------------------------------------------ *)
+(* 3b. Conservation: the top-level phases add up to the whole attach   *)
+(* ------------------------------------------------------------------ *)
+
+(* A top-level phase is one without a "/pN" per-partition suffix; the
+   sub-spans are already counted inside their parent. *)
+let top_level_sim_ns prof =
+  List.fold_left
+    (fun acc p ->
+      if String.contains p.Probe.name '/' then acc else acc + p.Probe.sim_ns)
+    0 (Probe.phases prof)
+
+(* Every simulated nanosecond [Tm.attach] spends lands in exactly one
+   top-level phase — including the configuration-fingerprint read that
+   precedes the log (or InCLL directory) attach. *)
+let test_recovery_conservation (name, cfg) () =
+  let arena = Arena.create ~size_bytes:(4 lsl 20) () in
+  let alloc = Alloc.create arena in
+  let tm = Tm.create ~cfg alloc ~root_slot in
+  let cells = Array.init 8 (fun _ -> Tm.alloc_cell tm) in
+  for tno = 1 to 3 do
+    let t = Tm.begin_txn tm in
+    Array.iteri
+      (fun i c -> Tm.write tm t ~addr:c ~value:(Int64.of_int ((tno * 10) + i)))
+      cells;
+    Tm.commit tm t
+  done;
+  Tm.checkpoint tm;
+  let live = Tm.begin_txn tm in
+  Tm.write tm live ~addr:cells.(7) ~value:99L;
+  Arena.crash arena;
+  let alloc2 = Alloc.recover arena in
+  let span = Clock.start () in
+  let tm2 = Tm.attach ~cfg alloc2 ~root_slot in
+  let elapsed = Clock.elapsed span in
+  let prof = Option.get (Tm.last_recovery_profile tm2) in
+  check_int (name ^ ": attach time = sum of top-level phases") elapsed
+    (top_level_sim_ns prof)
+
+(* ------------------------------------------------------------------ *)
+(* 3c. One-layer recovery reads the log once                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A 1L-NFP history of [txns] committed transactions of 4 writes each
+   (no checkpoint, so redo has the whole history to replay), optionally
+   with one transaction of [live_writes] writes in flight at the crash.
+   Returns the recovered manager and the live log length before the
+   crash. *)
+let one_layer_crash ?(live_writes = 0) ~txns () =
+  let cfg = Rewind.config_1l_nfp in
+  let arena = Arena.create ~size_bytes:(8 lsl 20) () in
+  let alloc = Alloc.create arena in
+  let tm = Tm.create ~cfg alloc ~root_slot in
+  let cells = Array.init 16 (fun _ -> Alloc.alloc alloc 8) in
+  for tno = 1 to txns do
+    let t = Tm.begin_txn tm in
+    for i = 0 to 3 do
+      Tm.write tm t
+        ~addr:cells.((tno + i) mod 16)
+        ~value:(Int64.of_int ((tno * 10) + i))
+    done;
+    Tm.commit tm t
+  done;
+  if live_writes > 0 then begin
+    let live = Tm.begin_txn tm in
+    for i = 0 to live_writes - 1 do
+      Tm.write tm live ~addr:cells.(i mod 16) ~value:(Int64.of_int (-i))
+    done
+  end;
+  let log_len =
+    Array.fold_left (fun acc l -> acc + Log.length l) 0 (Tm.logs tm)
+  in
+  Arena.crash arena;
+  let tm2 = Tm.attach ~cfg (Alloc.recover arena) ~root_slot in
+  (tm2, log_len)
+
+let phase_of tm name =
+  Option.get (Probe.find (Option.get (Tm.last_recovery_profile tm)) name)
+
+(* With no transaction in flight, redo replays the decoded stream (no
+   NVM load at all) and undo has no loser, so it does nothing. *)
+let test_single_scan_no_losers () =
+  let tm, log_len = one_layer_crash ~txns:100 () in
+  let report = Option.get (Tm.last_recovery tm) in
+  check_bool "redo re-applied records" true (report.Tm.redo_applied > 0);
+  check_int "analysis scanned every live record" log_len
+    report.Tm.records_scanned;
+  check_int "no loser" 0 report.Tm.txns_undone;
+  check_int "redo loads nothing from NVM" 0
+    (phase_of tm "redo").Probe.stats.Stats.loads;
+  check_int "undo takes no simulated time" 0 (phase_of tm "undo").Probe.sim_ns
+
+(* With one transaction in flight, undo reads NVM only for that loser's
+   records: its loads scale with the loser, not with the log. *)
+let test_single_scan_one_loser () =
+  let live_writes = 4 in
+  let tm, log_len = one_layer_crash ~live_writes ~txns:100 () in
+  let report = Option.get (Tm.last_recovery tm) in
+  check_int "analysis scanned every live record" log_len
+    report.Tm.records_scanned;
+  check_int "one loser" 1 report.Tm.txns_undone;
+  let loads = (phase_of tm "undo").Probe.stats.Stats.loads in
+  check_bool "undo read NVM" true (loads > 0);
+  check_bool
+    (Fmt.str
+       "undo loads (%d) bounded by the loser's %d records, not the %d-record \
+        log"
+       loads live_writes log_len)
+    true
+    (loads <= 16 * (live_writes + 1))
+
+(* ------------------------------------------------------------------ *)
 (* 4. Hot-path spans via [Tm.set_probe]                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -279,6 +390,21 @@ let () =
       ( "recovery-scope",
         per_config "two cycles profile identically" `Quick test_recovery_scope
       );
+      ( "recovery-conservation",
+        List.map
+          (fun (cn, cfg) ->
+            Alcotest.test_case
+              (Fmt.str "attach time = top-level phases [%s]" cn)
+              `Quick
+              (test_recovery_conservation (cn, cfg)))
+          (all_configs @ [ ("incll", Rewind.config_incll) ]) );
+      ( "single-scan",
+        [
+          Alcotest.test_case "no losers: redo loads nothing, undo idle" `Quick
+            test_single_scan_no_losers;
+          Alcotest.test_case "one loser: undo loads bounded by the loser"
+            `Quick test_single_scan_one_loser;
+        ] );
       ( "hot-path",
         [ Alcotest.test_case "commit/checkpoint spans" `Quick test_hot_path_probe ] );
       ( "bench",
