@@ -32,9 +32,10 @@
      window) are exempt: WAL makes their early write-back recoverable
      by construction, and the persistency sanitizer separately checks
      the record-before-data ordering.  This is what lets a concurrent
-     checkpoint's [flush_all] run against No-force user stores without
-     a report.  {!Trace.Epoch_logged} lines (InCLL) get the same
-     exemption permanently: the undo word travels in the data's own
+     checkpoint's write-back, most of it with no latch held, run
+     against No-force user stores without a report.
+     {!Trace.Epoch_logged} lines (InCLL) get the same exemption
+     permanently: the undo word travels in the data's own
      cache line, so *any* write-back of the line — at any time, by any
      fiber — lands a self-recovering image in NVM.
 

@@ -11,10 +11,10 @@
 
    - [concurrent_checkpoint]: writers as above plus one fiber issuing
      cache-consistent checkpoints (Section 4.6) in the middle of their
-     transactions.  The checkpoint's [flush_all] writes back other
-     fibers' user lines mid-transaction — race-free only because every
-     such store is WAL-covered, which is exactly the exemption the
-     detector implements.
+     transactions.  The checkpoint's write-back — most of it with no
+     latch held — writes back other fibers' user lines mid-transaction,
+     race-free only because every such store is WAL-covered, which is
+     exactly the exemption the detector implements.
 
    - [tpcc]: the Section 5.3 new-order driver in the naive-REWIND
      configuration, where every terminal serialises on the shared data

@@ -51,7 +51,11 @@ type t = {
 
 let create alloc ~ilog =
   let arena = Alloc.arena alloc in
-  let root_ptr = Alloc.alloc_fresh ~align:64 alloc 8 in
+  (* The root word gets a cacheline of its own.  Its logged nt-stores run
+     under the partition latch; a line shared with other data could be
+     written back by a concurrent checkpoint with no latch held, racing
+     those stores. *)
+  let root_ptr = Alloc.alloc_fresh ~align:64 alloc 64 in
   { arena; alloc; ilog; root_ptr; deferred_free = []; op_handles = [] }
 
 let attach alloc ~ilog ~root_ptr =

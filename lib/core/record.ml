@@ -99,11 +99,15 @@ let image_crc ~lsn ~txn ~typw ~addr ~old_value ~new_value ~undo_next
    word 0:  [2:0]=6  [3]=fmt  [5:4]=typ  [21:6]=crc16  [61:22]=payload
    word 1:  [2:0]=7  [29:3]=addr/8  [45:30]=a16  [61:46]=b16
 
-   fmt 0 ("user"):     payload = txn(14 bits) | lsn(26 bits) << 14;
-                       UPDATE/END: a16 = old value, b16 = new value;
+   fmt 0 ("user"):     payload = txn[13:0] | lsn(26 bits) << 14;
+                       UPDATE: a16 = old value, b16 = new value;
                        CLR: a16 = undo-next LSN, b16 = new (restored)
                        value — a CLR's old value is write-only throughout
-                       the system, so it is not stored and decodes as 0.
+                       the system, so it is not stored and decodes as 0;
+                       UPDATE and CLR need txn < 2^14.
+                       END: a16 = txn[29:14], b16 = new value — an END's
+                       old value is always 0 and decodes as 0, so its
+                       pair carries a 30-bit transaction id.
    fmt 1 ("internal"): an AAVLT record (txn 0, lsn 0); payload =
                        old[35:16](20 bits) | new[35:16](20 bits) << 20,
                        a16/b16 = the low halves — 36-bit images cover
@@ -194,20 +198,30 @@ module Inline = struct
             pack ~fmt:1
               ~payload:((ov lsr 16) lor ((nv lsr 16) lsl 20))
               ~a16:(ov land 0xFFFF) ~b16:(nv land 0xFFFF)
-          else if not (fits txn 14 && fits lsn 26) then None
+          else if not (fits txn 30 && fits lsn 26) then None
           else
-            let payload = txn lor (lsn lsl 14) in
+            let payload = (txn land 0x3FFF) lor (lsn lsl 14) in
             match typ with
             | Clr ->
                 (* the old value is write-only: dropped, decodes as 0 *)
-                if fits undo_next 16 && fits64 new_value 16 then
+                if fits txn 14 && fits undo_next 16 && fits64 new_value 16
+                then
                   pack ~fmt:0 ~payload ~a16:undo_next
                     ~b16:(Int64.to_int new_value)
                 else None
-            | Update | End ->
-                if undo_next = 0 && fits64 old_value 16 && fits64 new_value 16
+            | Update ->
+                if
+                  fits txn 14 && undo_next = 0 && fits64 old_value 16
+                  && fits64 new_value 16
                 then
                   pack ~fmt:0 ~payload ~a16:(Int64.to_int old_value)
+                    ~b16:(Int64.to_int new_value)
+                else None
+            | End ->
+                (* an END's old value is always 0: a16 carries the
+                   transaction id's bits 14-29 instead *)
+                if undo_next = 0 && old_value = 0L && fits64 new_value 16 then
+                  pack ~fmt:0 ~payload ~a16:(txn lsr 14)
                     ~b16:(Int64.to_int new_value)
                 else None
             | Checkpoint | Delete | Rollback | Prepare -> None
@@ -226,8 +240,13 @@ let iw1 a r = Int64.to_int (Arena.read a (inline_pair r + 8))
 let inline_lsn w0 =
   if Inline.fmt w0 = 1 then 0 else (Inline.payload w0 lsr 14) land 0x3FFFFFF
 
-let inline_txn w0 =
-  if Inline.fmt w0 = 1 then 0 else Inline.payload w0 land 0x3FFF
+(* [w1] is read only for an END, whose txn bits 14-29 sit in a16. *)
+let inline_txn w0 ~w1 =
+  if Inline.fmt w0 = 1 then 0
+  else if Inline.typ2 w0 = 2 then
+    (Inline.payload w0 land 0x3FFF) lor (Inline.a16 (w1 ()) lsl 14)
+  else Inline.payload w0 land 0x3FFF
+
 let inline_typ w0 = Inline.typ_of_typ2 (Inline.typ2 w0)
 
 let inline_new_value ~w0 ~w1 =
@@ -245,7 +264,7 @@ let lsn a r =
   else Int64.to_int (Arena.read a (r + o_lsn))
 
 let txn a r =
-  if is_inline r then inline_txn (iw0 a r)
+  if is_inline r then inline_txn (iw0 a r) ~w1:(fun () -> iw1 a r)
   else Int64.to_int (Arena.read a (r + o_txn))
 
 let typ a r = if is_inline r then inline_typ (iw0 a r) else full_typ a r
@@ -261,7 +280,9 @@ let old_value a r =
       Int64.of_int (((Inline.payload w0 land 0xFFFFF) lsl 16) lor Inline.a16 (iw1 a r))
     else
       match Inline.typ2 w0 with
-      | 1 (* Clr: old value not stored *) -> 0L
+      | 1 (* Clr: old value not stored *) | 2 (* End: a16 holds txn bits *)
+        ->
+          0L
       | _ -> Int64.of_int (Inline.a16 (iw1 a r))
   else Arena.read a (r + o_old)
 
@@ -302,7 +323,7 @@ let decode a r =
     {
       lsn = inline_lsn w0;
       ref = r;
-      txn = inline_txn w0;
+      txn = inline_txn w0 ~w1:(fun () -> w1);
       typ = inline_typ w0;
       addr = Inline.addr_of w1;
       new_value = inline_new_value ~w0 ~w1;

@@ -111,7 +111,9 @@ val inline_encode :
   (int * int) option
 (** The pair's two slot words, or [None] when a field exceeds the compact
     format (the caller then falls back to {!make}).  A CLR's old value is
-    write-only system-wide and is not stored: it decodes as 0. *)
+    write-only system-wide and is not stored: it decodes as 0.  An END
+    must have old value 0; its pair carries a 30-bit transaction id,
+    UPDATE and CLR pairs a 14-bit one. *)
 
 val is_inline : int -> bool
 (** Is this record address an inline ref? *)

@@ -1047,6 +1047,16 @@ let clear_behind_checkpoints t cps =
 let remove_checkpoints t cps =
   Array.iteri (fun i p -> Log.remove_handle p.log (snd cps.(i))) t.parts
 
+(* Persist every partition's batch cursor and release its pinned stores:
+   otherwise flushed user data could refer to untrusted log slots after a
+   crash.  Callers hold every latch, or run alone (recovery). *)
+let persist_groups t =
+  Array.iter
+    (fun p ->
+      Log.flush_group p.log;
+      drain_deferred t p)
+    t.parts
+
 let rec checkpoint t =
   match t.incll with
   | Some i ->
@@ -1060,17 +1070,20 @@ let rec checkpoint t =
 
 and checkpoint_wal t =
   hot_span t "checkpoint" @@ fun () ->
+  (* Most of the cache write-back runs with no latch held, so writers keep
+     appending while it runs.  An instant under every latch first leaves
+     no batch slot pending and no line pinned; the unlatched write-back
+     then writes back only lines the hardware could evict at that moment,
+     which the protocol survives anyway.  The latched [flush_all] below
+     is left with the lines dirtied again since, and the CHECKPOINT still
+     follows it (see DESIGN 5c). *)
+  hot_span t "cp-preflush" (fun () ->
+      with_all_latches t 0 (fun () -> persist_groups t);
+      Arena.flush_unpinned t.arena);
   with_all_latches t 0 (fun () ->
       let cps =
         hot_span t "cp-persist" (fun () ->
-            (* Persist every partition's batch cursor and release its
-               pinned stores first: otherwise flushed user data could
-               refer to untrusted log slots after a crash. *)
-            Array.iter
-              (fun p ->
-                Log.flush_group p.log;
-                drain_deferred t p)
-              t.parts;
+            persist_groups t;
             Arena.flush_all t.arena;
             Arena.fence t.arena;
             (* Section 4.6: every user update is now durable in place. *)
@@ -1603,11 +1616,7 @@ let recover_two_layer t prof =
   Probe.span prof pstats "clearing" (fun () ->
       (* Make the redo/undo results durable *before* dropping records: a
          crash here must still find the log able to repeat history. *)
-      Array.iter
-        (fun p ->
-          Log.flush_group p.log;
-          drain_deferred t p)
-        t.parts;
+      persist_groups t;
       Arena.flush_all t.arena;
       Arena.fence t.arena;
       (* every transaction except the in-doubt set is settled: free the
@@ -1668,11 +1677,7 @@ let clear_after_recovery t ~deletes =
      resolution) must survive until [resolve_in_doubt], across any number
      of further crashes.  Buffered Batch stores must land before the
      flush or they would be silently dropped. *)
-  Array.iter
-    (fun p ->
-      Log.flush_group p.log;
-      drain_deferred t p)
-    t.parts;
+  persist_groups t;
   Arena.flush_all t.arena;
   Arena.fence t.arena;
   let in_doubt_txn x = Hashtbl.mem t.prepared_gtids x in

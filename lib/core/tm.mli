@@ -206,7 +206,12 @@ val checkpoint : t -> unit
 (** The "cache-consistent" checkpoint of Section 4.6: persist pending log
     state, flush the cache, append one CHECKPOINT record per partition,
     then clear settled transactions' records — END records last — and
-    process their deferred de-allocations.
+    process their deferred de-allocations.  Most of the cache flush runs
+    before the latches are taken: after a brief latched step that
+    persists every pending batch group and releases every pinned store,
+    every dirty line that is not pinned is written back with no latch
+    held, so concurrent writers stall only for the lines dirtied again
+    in the meantime.
 
     Checkpointing with transactions in flight is fully supported — this
     is the point of Section 4.6's design, and what distinguishes REWIND
@@ -287,7 +292,8 @@ val last_recovery_profile : t -> Rewind_nvm.Probe.t option
 
 val set_probe : t -> Rewind_nvm.Probe.t option -> unit
 (** Attach a probe to the runtime hot paths: [commit], [checkpoint] and
-    the checkpoint sub-phases [cp-persist] / [cp-clear] / [cp-compact]
+    the checkpoint sub-phases [cp-preflush] (the write-back that runs
+    with no latch held) / [cp-persist] / [cp-clear] / [cp-compact]
     charge spans to it.  [None] (the default) disables hot-path
     profiling; recovery profiling is always on. *)
 

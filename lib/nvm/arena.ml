@@ -370,6 +370,18 @@ let flush_all t =
     if Bytes.unsafe_get t.dirty l = '\001' then flush_line t (l lsl t.line_shift)
   done
 
+(* The write-back a checkpoint can issue with no latch held: every dirty
+   line the hardware could evict at this instant, i.e. all but the pinned
+   ones (their stores are still in the store buffer).  Same events, clock
+   charge and trace as [flush_line]. *)
+let flush_unpinned t =
+  for l = 0 to Bytes.length t.dirty - 1 do
+    if
+      Bytes.unsafe_get t.dirty l = '\001'
+      && Bytes.unsafe_get t.pinned l = '\000'
+    then flush_line t (l lsl t.line_shift)
+  done
+
 let fence t =
   t.stats.Stats.fences <- t.stats.Stats.fences + 1;
   if not t.persisted_since_fence then

@@ -44,6 +44,12 @@ val flush_line : t -> int -> unit
 val flush_range : t -> int -> int -> unit
 val flush_all : t -> unit
 
+val flush_unpinned : t -> unit
+(** Write back every dirty line that is not pinned (see {!pin_line}):
+    exactly the lines the hardware could evict at this instant.  Pinned
+    lines stay dirty.  Each write-back is a {!flush_line}: one
+    persistence event, the same clock charge and trace. *)
+
 val fence : t -> unit
 (** Persistent memory fence: orders and charges [fence_ns]. *)
 

@@ -85,6 +85,70 @@ let test_roundtrip_internal () =
       check_i64 "new" 0xABCDE1234L (Record.new_value arena r)
   | l -> Alcotest.failf "expected 1 record, got %d" (List.length l)
 
+(* END pairs carry 30-bit transaction ids: the low 14 bits in the payload,
+   bits 14-29 in the old-value field an END never uses.  Round-trip both
+   sides of the old 14-bit edge and the top id, through the per-field
+   accessors and [Record.decode]; 2^30 falls back to a full record. *)
+let test_roundtrip_end_txn () =
+  List.iter
+    (fun txn ->
+      let arena, _alloc, log = fresh_log Log.Optimized in
+      ignore
+        (Log.append_record ~is_end:true log ~lsn:4242 ~txn ~typ:Record.End
+           ~addr:0 ~old_value:0L ~new_value:0L ~undo_next:0);
+      let ctx = Fmt.str "txn %d" txn in
+      match Log.records log with
+      | [ r ] ->
+          check_bool (ctx ^ ": inline iff below 2^30") (txn < 1 lsl 30)
+            (Record.is_inline r);
+          check_int (ctx ^ ": txn") txn (Record.txn arena r);
+          check_int (ctx ^ ": lsn") 4242 (Record.lsn arena r);
+          check_bool (ctx ^ ": typ") true (Record.typ arena r = Record.End);
+          check_i64 (ctx ^ ": old") 0L (Record.old_value arena r);
+          check_i64 (ctx ^ ": new") 0L (Record.new_value arena r);
+          check_bool (ctx ^ ": verify") true (Record.verify arena r);
+          let d = Record.decode arena r in
+          check_int (ctx ^ ": decoded txn") txn d.Record.txn;
+          check_bool (ctx ^ ": decoded typ") true (d.Record.typ = Record.End)
+      | l -> Alcotest.failf "%s: expected 1 record, got %d" ctx (List.length l))
+    [ 16_383; 16_384; (1 lsl 30) - 1; 1 lsl 30 ]
+
+(* Past 2^14 transactions an UPDATE falls back to a full record but its
+   END stays inline.  Recovery must read the END's full id: with it cut
+   to 14 bits every late transaction would look unfinished and be undone. *)
+let test_wide_end_recovers () =
+  let cfg = Rewind.config_1l_nfp in
+  let arena = Arena.create ~size_bytes:(16 lsl 20) () in
+  let alloc = Alloc.create arena in
+  let tm = Tm.create ~cfg alloc ~root_slot in
+  let cells = Array.init 8 (fun _ -> Alloc.alloc alloc 8) in
+  let expected = Array.make 8 0L in
+  for i = 1 to 16_500 do
+    let txn = Tm.begin_txn tm in
+    let c = i mod 8 in
+    Tm.write tm txn ~addr:cells.(c) ~value:(Int64.of_int i);
+    expected.(c) <- Int64.of_int i;
+    Tm.commit tm txn;
+    if i mod 4096 = 0 then Tm.checkpoint tm
+  done;
+  (* the last checkpoint left only transactions begun after 2^14 *)
+  let live = Tm.begin_txn tm in
+  check_bool "ids past 2^14" true (live > 1 lsl 14);
+  let ends =
+    List.filter
+      (fun r -> Record.typ arena r = Record.End)
+      (Log.records (Tm.log tm))
+  in
+  check_bool "ENDs in the log" true (ends <> []);
+  check_bool "every END inline" true (List.for_all Record.is_inline ends);
+  Tm.write tm live ~addr:cells.(0) ~value:999_999L;
+  Arena.crash arena;
+  let alloc2 = Alloc.recover arena in
+  let _tm2 = Tm.attach ~cfg alloc2 ~root_slot in
+  Array.iteri
+    (fun c exp -> check_i64 (Fmt.str "cell %d" c) exp (Arena.read arena cells.(c)))
+    expected
+
 let test_ineligible_fields () =
   let none ~ctx v =
     check_bool ctx true (v = None)
@@ -95,6 +159,12 @@ let test_ineligible_fields () =
   in
   check_bool "baseline eligible" true (enc () <> None);
   none ~ctx:"txn too wide" (enc ~txn:(1 lsl 14) ());
+  none ~ctx:"clr txn too wide" (enc ~typ:Record.Clr ~txn:(1 lsl 14) ());
+  check_bool "end txn 2^14 eligible" true
+    (enc ~typ:Record.End ~txn:(1 lsl 14) ~old_value:0L () <> None);
+  none ~ctx:"end txn too wide"
+    (enc ~typ:Record.End ~txn:(1 lsl 30) ~old_value:0L ());
+  none ~ctx:"end with an old value" (enc ~typ:Record.End ());
   none ~ctx:"lsn too wide" (enc ~lsn:(1 lsl 26) ());
   none ~ctx:"user image too wide" (enc ~old_value:(Int64.of_int (1 lsl 16)) ());
   none ~ctx:"negative image" (enc ~new_value:(-1L) ());
@@ -329,6 +399,8 @@ let () =
           tc "update roundtrip" `Quick test_roundtrip_update;
           tc "clr roundtrip" `Quick test_roundtrip_clr;
           tc "internal roundtrip" `Quick test_roundtrip_internal;
+          tc "end roundtrip, 30-bit txn" `Quick test_roundtrip_end_txn;
+          tc "wide END ids survive recovery" `Quick test_wide_end_recovers;
           tc "ineligible fields" `Quick test_ineligible_fields;
           tc "fallback to full record" `Quick test_fallback_to_full;
         ] );

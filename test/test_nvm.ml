@@ -340,6 +340,37 @@ let test_flush_clears_pin () =
   check_bool "explicit flush unpins" false (Arena.is_pinned a 1024);
   check_i64 "and persists" 9L (Arena.durable_read a 1024)
 
+(* The checkpoint's unlatched write-back: unpinned dirty lines become
+   durable, one persistence event and one line charge each; pinned lines
+   stay dirty and pinned and are lost at a crash; clean lines are left
+   alone — no flush issued, not even a redundant one. *)
+let test_flush_unpinned () =
+  let a = arena () in
+  Arena.write a 1024 1L;
+  Arena.write a 2048 2L;
+  Arena.pin_line a 4096;
+  Arena.write a 4096 3L;
+  Arena.nt_write a 8192 4L;
+  let s0 = Stats.snapshot (Arena.stats a) and c0 = Clock.now () in
+  Arena.flush_unpinned a;
+  let d = Stats.diff (Arena.stats a) s0 in
+  check_int "one flush per unpinned dirty line" 2 d.Stats.flushes;
+  check_int "no flush of a clean line" 0 d.Stats.redundant_flushes;
+  check_int "one line charge each"
+    (2 * (Arena.config a).Config.nvm_write_ns)
+    (Clock.now () - c0);
+  check_i64 "unpinned line durable" 1L (Arena.durable_read a 1024);
+  check_i64 "second unpinned line durable" 2L (Arena.durable_read a 2048);
+  check_bool "unpinned lines clean" false
+    (Arena.is_dirty a 1024 || Arena.is_dirty a 2048);
+  check_bool "pinned line still dirty and pinned" true
+    (Arena.is_dirty a 4096 && Arena.is_pinned a 4096);
+  check_i64 "pinned line not written back" 0L (Arena.durable_read a 4096);
+  Arena.crash a;
+  check_i64 "unpinned store survives the crash" 1L (Arena.read a 1024);
+  check_i64 "pinned store lost at the crash" 0L (Arena.read a 4096);
+  check_i64 "clean line untouched" 4L (Arena.read a 8192)
+
 let test_media_fault_corrupts_reads () =
   let a = arena () in
   let fm = Fault_model.create ~seed:4 () in
@@ -631,6 +662,7 @@ let () =
             test_pinned_line_never_survives_crash;
           tc "pinned line not evicted" `Quick test_pinned_line_not_evicted;
           tc "flush clears pin" `Quick test_flush_clears_pin;
+          tc "flush_unpinned skips pinned lines" `Quick test_flush_unpinned;
           tc "media fault corrupts reads" `Quick test_media_fault_corrupts_reads;
           tc "crc32 known vector" `Quick test_crc32_known_vector;
         ] );

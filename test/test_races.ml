@@ -7,8 +7,10 @@
       sets), and Raise mode raises;
    2. the detector is *quiet* where synchronization exists — the same
       counter under a mutex, allocator free-list reuse across fibers,
-      and the multi-writer transactional workload across the six
-      standard configurations at 1/2/4 log partitions;
+      the multi-writer transactional workload across the six standard
+      configurations at 1/2/4 log partitions, and the
+      concurrent-checkpoint workload across the six WAL configurations
+      at 1/4 partitions;
    3. Sim_mutex misuse is caught in fiber mode — double unlock and
       unlock-by-non-holder raise, and [holding] tracks ownership. *)
 
@@ -151,12 +153,15 @@ let multi_writer_clean (name, cfg) partitions () =
     [] (R.races rc);
   Alcotest.(check bool) "saw events" true (R.events_seen rc > 0)
 
-let checkpoint_clean () =
+(* The [rewind check --races] checkpoint leg: writers plus a checkpointer
+   whose cache write-back runs with no latch held. *)
+let checkpoint_clean (name, cfg) partitions () =
   let rc =
-    Rewind_benchlib.Race_workloads.concurrent_checkpoint ~partitions:2
-      ~cfg:Rewind.config_1l_nfp ()
+    Rewind_benchlib.Race_workloads.concurrent_checkpoint ~partitions ~cfg ()
   in
-  Alcotest.(check (list race)) "checkpoint clean" [] (R.races rc)
+  Alcotest.(check (list race))
+    (Fmt.str "%s p%d checkpoint clean" name partitions)
+    [] (R.races rc)
 
 (* -- 3. Sim_mutex misuse ------------------------------------------------ *)
 
@@ -219,7 +224,8 @@ let () =
         [
           Alcotest.test_case "locked counter" `Quick test_locked_counter_clean;
           Alcotest.test_case "alloc reuse" `Quick test_alloc_reuse_clean;
-          Alcotest.test_case "concurrent checkpoint" `Quick checkpoint_clean;
+          Alcotest.test_case "concurrent checkpoint" `Quick
+            (checkpoint_clean ("1l-nfp", Rewind.config_1l_nfp) 2);
         ]
         @ List.concat_map
             (fun cfg ->
@@ -230,6 +236,18 @@ let () =
                     `Quick
                     (multi_writer_clean cfg p))
                 [ 1; 2; 4 ])
+            Rewind_benchlib.Race_workloads.configs
+        @ List.concat_map
+            (fun ((_, cfg) as c) ->
+              if cfg.Rewind.Tm.incll then []
+              else
+                List.map
+                  (fun p ->
+                    Alcotest.test_case
+                      (Fmt.str "concurrent checkpoint %s p%d" (fst c) p)
+                      `Quick
+                      (checkpoint_clean c p))
+                  [ 1; 4 ])
             Rewind_benchlib.Race_workloads.configs );
       ( "sim-mutex misuse",
         [
